@@ -45,8 +45,7 @@ print("MLP block float vs packed, bit-identical:",
 # Dynamic contextual embeddings: thresholds and biases from pooled input.
 conv = bk.BinaryConvBlock(16, 16, 3, 1, np.random.default_rng(4), dynamic=True)
 conv.dynamic.w2.data[...] = 0.1  # give the zero-initialized path an effect
-alpha = conv.dynamic.alpha_np(x)
-beta = conv.dynamic.thresholds_np(alpha)
+beta = conv.dynamic.thresholds(conv.dynamic.alpha(ag.Tensor(x))).data
 print("\nper-sample dynamic thresholds, shape", beta.shape,
       "spread", float(beta.std()))
 print("conv block float vs packed, bit-identical:",

@@ -58,7 +58,12 @@ def hard_sign(z):
 
 
 class Tensor:
-    """A node in the computation graph; wraps a float ndarray."""
+    """A node in the computation graph; wraps a float ndarray.
+
+    A node that requires no grad keeps neither its parents nor its backward
+    closure, so a forward over no-grad parameters builds no graph and frees
+    each intermediate as soon as the next op has consumed it.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -66,8 +71,8 @@ class Tensor:
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-        self._parents = parents
-        self._backward = backward
+        self._parents = parents if self.requires_grad else ()
+        self._backward = backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -259,19 +264,29 @@ def col2im(grad_cols: np.ndarray, x_shape: tuple, k: int, stride: int, pad: int,
     return gx
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
-           binary_weights: bool = False, surrogate: bool = False,
-           scale_granularity: str = "filter", frozen_scale=None,
-           pad_value: float = 0.0) -> Tensor:
-    """2-D convolution; weights either full precision or sign-binarized.
+def _gemm_weights(w2d: np.ndarray, scale, surrogate: bool):
+    """(weights the GEMM multiplies by, per-filter scale or None).
 
-    With binary_weights the effective filter is scale * sign(w) where the
-    per-filter scale is the mean absolute shadow weight, treated as a
-    constant during backward; the shadow weights receive the clipped
-    polynomial STE gradient. The GEMM runs on the raw sign values and the
-    scale multiplies the exact integer result afterwards, keeping float and
-    bit-packed execution bit-identical. frozen_scale supplies a fixed scale
-    vector so finite-difference checks can hold the detached scale constant.
+    scale None means full-precision weights. Otherwise the effective filter
+    is scale * sign(w), with scale a constant during backward (blocks pass
+    the mean absolute shadow weight, bittensor.weight_scale).
+    """
+    if scale is None:
+        return w2d, None
+    wq = qb_forward(w2d) if surrogate else hard_sign(w2d)
+    return wq, np.asarray(scale, dtype=w2d.dtype)
+
+
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
+           surrogate: bool = False, scale=None,
+           pad_value: float = 0.0) -> Tensor:
+    """2-D convolution; weights full precision (scale None) or
+    sign-binarized with the per-filter scale vector given.
+
+    Binarized shadow weights receive the clipped polynomial STE gradient.
+    The GEMM runs on the raw sign values and the scale multiplies the exact
+    integer result afterwards, keeping float and bit-packed execution
+    bit-identical.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -282,20 +297,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         )
     n = x.data.shape[0]
     cols, oh, ow = im2col(x.data, k, stride, pad, pad_value)
-    w2d = w.data.reshape(c_out, -1)
-    if binary_weights:
-        if frozen_scale is not None:
-            scale = np.asarray(frozen_scale, dtype=w.data.dtype)
-        elif scale_granularity == "layer":
-            scale = np.full(c_out, np.abs(w2d).mean(), dtype=w.data.dtype)
-        else:
-            scale = np.abs(w2d).mean(axis=1)
-        wq = qb_forward(w2d) if surrogate else hard_sign(w2d)
-        out = (cols @ wq.T) * scale[None, :]
-    else:
-        scale = None
-        wq = w2d
-        out = cols @ wq.T
+    wq, scale = _gemm_weights(w.data.reshape(c_out, -1), scale, surrogate)
+    out = cols @ wq.T
+    if scale is not None:
+        out = out * scale[None, :]
     out = out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
     def bwd(g, x=x, w=w, cols=cols, wq=wq, scale=scale, oh=oh, ow=ow):
@@ -314,9 +319,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
     return Tensor(out, parents=(x, w), backward=bwd)
 
 
-def token_fc(x: Tensor, w: Tensor, binary_weights: bool = False,
-             surrogate: bool = False, scale_granularity: str = "filter",
-             frozen_scale=None) -> Tensor:
+def token_fc(x: Tensor, w: Tensor, surrogate: bool = False,
+             scale=None) -> Tensor:
     """Token-wise fully connected layer over channels at every position.
 
     x is (n, c_in, h, w); w is (c_out, c_in). Equivalent to a 1x1 conv; the
@@ -329,19 +333,10 @@ def token_fc(x: Tensor, w: Tensor, binary_weights: bool = False,
             f"token_fc: input channels {c_in} != weight columns {w.data.shape[1]}"
         )
     xt = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(-1, c_in)
-    if binary_weights:
-        if frozen_scale is not None:
-            scale = np.asarray(frozen_scale, dtype=w.data.dtype)
-        elif scale_granularity == "layer":
-            scale = np.full(c_out, np.abs(w.data).mean(), dtype=w.data.dtype)
-        else:
-            scale = np.abs(w.data).mean(axis=1)
-        wq = qb_forward(w.data) if surrogate else hard_sign(w.data)
-        out = (xt @ wq.T) * scale[None, :]
-    else:
-        scale = None
-        wq = w.data
-        out = xt @ wq.T
+    wq, scale = _gemm_weights(w.data, scale, surrogate)
+    out = xt @ wq.T
+    if scale is not None:
+        out = out * scale[None, :]
     out = out.reshape(n, h, wd, c_out).transpose(0, 3, 1, 2)
 
     def bwd(g, x=x, w=w, xt=xt, wq=wq, scale=scale):
@@ -386,25 +381,6 @@ def quartile_shift(x: Tensor, offsets) -> Tensor:
     return Tensor(out, parents=(x,), backward=bwd)
 
 
-def bn_normalize_np(x: np.ndarray, mu: np.ndarray, var: np.ndarray,
-                    gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5):
-    """Shared normalization arithmetic; both execution routes call this so
-    float-graph and bit-packed forwards stay bit-identical."""
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
-    out = xhat * gamma[None, :, None, None] + beta[None, :, None, None]
-    return out, xhat, inv_std
-
-
-def rprelu_np(x: np.ndarray, shift_in: np.ndarray, slope: np.ndarray,
-              shift_out: np.ndarray):
-    t = x - shift_in[None, :, None, None]
-    pos = t > 0
-    out = np.where(pos, t, slope[None, :, None, None] * t) + \
-        shift_out[None, :, None, None]
-    return out, t, pos
-
-
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
     """Per-channel batch norm over NCHW; running stats updated in place."""
@@ -418,7 +394,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
         running_var += momentum * var
     else:
         mu, var = running_mean, running_var
-    out, xhat, inv_std = bn_normalize_np(x.data, mu, var, gamma.data, beta.data, eps)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu[None, :, None, None]) * inv_std[None, :, None, None]
+    out = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
 
     def bwd(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv_std=inv_std,
             training=training):
@@ -443,7 +421,10 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
 
 def rprelu(x: Tensor, shift_in: Tensor, slope: Tensor, shift_out: Tensor) -> Tensor:
     """Per-channel parametric activation: prelu(x - a) + b."""
-    out, t, pos = rprelu_np(x.data, shift_in.data, slope.data, shift_out.data)
+    t = x.data - shift_in.data[None, :, None, None]
+    pos = t > 0
+    out = np.where(pos, t, slope.data[None, :, None, None] * t) + \
+        shift_out.data[None, :, None, None]
 
     def bwd(g, x=x, shift_in=shift_in, slope=slope, shift_out=shift_out, t=t, pos=pos):
         dt = g * np.where(pos, 1.0, slope.data[None, :, None, None]).astype(g.dtype)
@@ -498,20 +479,29 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return Tensor(out, parents=(x,), backward=bwd)
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float = 0.0) -> Tensor:
-    """Mean cross-entropy against label-smoothed one-hot targets."""
+def cross_entropy(logits: Tensor, targets: np.ndarray,
+                  smoothing: float = 0.0) -> Tensor:
+    """Mean cross-entropy against (n,) integer labels or an (n, k) matrix of
+    target probabilities (soft targets, e.g. a teacher's softmax); either is
+    smoothed toward the uniform distribution by ``smoothing``."""
     if not 0.0 <= smoothing < 1.0:
         raise ValueError(f"smoothing must be in [0, 1), got {smoothing}")
     n, k = logits.data.shape
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError("label out of range")
+    targets = np.asarray(targets)
+    if targets.ndim == 2:
+        if targets.shape != (n, k):
+            raise ValueError(f"soft targets {targets.shape} do not match logits {(n, k)}")
+        target = targets.astype(np.float64)
+    else:
+        if targets.min() < 0 or targets.max() >= k:
+            raise ValueError("label out of range")
+        target = np.zeros((n, k))
+        target[np.arange(n), targets] = 1.0
+    target = (1.0 - smoothing) * target + smoothing / k
     z = logits.data.astype(np.float64)
     z = z - z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
-    target = np.full((n, k), smoothing / k)
-    target[np.arange(n), labels] += 1.0 - smoothing
     loss = -(target * logp).sum(axis=1).mean()
 
     def bwd(g, logits=logits, logp=logp, target=target):

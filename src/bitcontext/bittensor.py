@@ -254,23 +254,14 @@ def binary_conv2d(a: BitTensor, w: BitTensor, scale: np.ndarray,
     return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
 
-def weight_scale(w: np.ndarray, granularity: str = "filter") -> np.ndarray:
-    """Per-filter scale factors: L1 norm over the fan-in divided by fan-in.
-
-    "filter" gives one scale per output channel (axis 0); "layer" collapses
-    to a single shared scalar, broadcast back to per-filter length.
-    """
+def weight_scale(w: np.ndarray) -> np.ndarray:
+    """Per-filter scale factors: L1 norm over the fan-in divided by fan-in,
+    one per output channel (axis 0)."""
     w = np.asarray(w)
     if w.size == 0:
         raise ValueError("empty filter bank")
     dtype = w.dtype if w.dtype.kind == "f" else np.float32
-    c_out = w.shape[0]
-    flat = np.abs(w.reshape(c_out, -1))
-    if granularity == "filter":
-        return flat.mean(axis=1).astype(dtype)
-    if granularity == "layer":
-        return np.full(c_out, flat.mean(), dtype=dtype)
-    raise ValueError(f"unknown scale granularity: {granularity!r}")
+    return np.abs(w.reshape(w.shape[0], -1)).mean(axis=1).astype(dtype)
 
 
 def pack_filters(w: np.ndarray, threshold=0.0) -> BitTensor:

@@ -2,17 +2,22 @@
 reconstruction, three-branch binary MLP blocks, binary convolution blocks
 and dynamic threshold/bias embeddings.
 
-Every block exposes two execution routes over shared parameters:
+Every block has one arithmetic definition, forward(x, st). The flag
+st.packed swaps only the binary core of the binary conv and MLP blocks:
 
-  forward(x, st)   -- autograd route on float tensors; activations are hard
-                      +-1 signs (or the polynomial surrogate when
-                      st.surrogate), so training and evaluation both run
-                      through it.
-  infer_packed(x)  -- pure-numpy route using the bit-packed XNOR/popcount
-                      kernels; valid once weights are binarized.
+  float   -- ag.binarize -> ag.conv2d, or ag.binarize -> quartile_shift
+             -> token_fc, on +-1 float tensors (or the polynomial
+             surrogate when st.surrogate); training and gradient checks
+             run here.
+  packed  -- pack -> binary_conv2d, or pack -> reconstruct_* ->
+             binary_gemm, on bit-packed XNOR/popcount kernels.
 
-Because the binary GEMMs produce exact integers before any float scaling,
-the two routes agree bit for bit in evaluation mode; tests pin that.
+Dynamic thresholds and biases, norm, shortcut, activation, stem and
+classifier run the same autograd ops on both routes. infer_packed(x) is
+forward on the packed route with the layer's parameters set to require no
+grad, so it builds no graph. Because the binary GEMMs produce exact
+integers before any float scaling, the two routes agree bit for bit in
+evaluation mode; tests pin that.
 """
 
 from __future__ import annotations
@@ -102,6 +107,7 @@ class ForwardState:
     binary_weights: bool = True
     surrogate: bool = False
     freeze_scales: bool = False
+    packed: bool = False
 
 
 def _uniform(rng, shape, fan_in, dtype):
@@ -115,6 +121,7 @@ class _Layer:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._buffers: dict[str, np.ndarray] = {}
+        self._scale_cache = None
 
     def _add_param(self, name, data):
         t = ag.param(data, dtype=data.dtype)
@@ -130,6 +137,32 @@ class _Layer:
 
     def buffers(self):
         return self._buffers
+
+    def infer_packed(self, x: np.ndarray) -> np.ndarray:
+        """Evaluation forward on the bit-packed kernels; valid once weights
+        are binarized. Parameters require no grad for the call, so no graph
+        is kept; their flags are restored even when forward raises."""
+        params = list(self._params.values())
+        flags = [p.requires_grad for p in params]
+        for p in params:
+            p.requires_grad = False
+        try:
+            return self.forward(Tensor(x), ForwardState(packed=True)).data
+        finally:
+            for p, flag in zip(params, flags):
+                p.requires_grad = flag
+
+    def _weight_scales(self, st: ForwardState, weights):
+        """Per-filter scales of the binarized weights, None in real-weight
+        mode. st.freeze_scales holds them fixed across calls, so
+        finite-difference checks see a constant scale."""
+        if not st.binary_weights:
+            return [None] * len(weights)
+        if st.freeze_scales and self._scale_cache is not None:
+            return self._scale_cache
+        scales = [weight_scale(w.data) for w in weights]
+        self._scale_cache = scales if st.freeze_scales else None
+        return scales
 
 
 class _NormAct:
@@ -150,16 +183,6 @@ class _NormAct:
 
     def _act(self, y: Tensor) -> Tensor:
         return ag.rprelu(y, self.act_shift_in, self.act_slope, self.act_shift_out)
-
-    def _norm_np(self, y: np.ndarray) -> np.ndarray:
-        out, _, _ = ag.bn_normalize_np(y, self.running_mean, self.running_var,
-                                       self.bn_gamma.data, self.bn_beta.data)
-        return out
-
-    def _act_np(self, y: np.ndarray) -> np.ndarray:
-        out, _, _ = ag.rprelu_np(y, self.act_shift_in.data, self.act_slope.data,
-                                 self.act_shift_out.data)
-        return out
 
 
 class StemConv(_Layer):
@@ -186,17 +209,6 @@ class StemConv(_Layer):
                          self.running_var, training=st.training)
         if self.pool:
             y = ag.avgpool2(y)
-        return y
-
-    def infer_packed(self, x: np.ndarray) -> np.ndarray:
-        cols, oh, ow = ag.im2col(x, self.kernel, self.stride, self.kernel // 2)
-        y = cols @ self.w.data.reshape(self.c_out, -1).T
-        y = y.reshape(x.shape[0], oh, ow, self.c_out).transpose(0, 3, 1, 2)
-        y, _, _ = ag.bn_normalize_np(y, self.running_mean, self.running_var,
-                                     self.bn_gamma.data, self.bn_beta.data)
-        if self.pool:
-            n, c, h, w = y.shape
-            y = y.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
         return y
 
     def out_hw(self, h, w):
@@ -237,15 +249,6 @@ class DynamicEmbedding(_Layer):
     def gamma(self, alpha: Tensor) -> Tensor:
         return ag.linear(alpha, self.w3, self.b_gamma)
 
-    def alpha_np(self, x: np.ndarray) -> np.ndarray:
-        return x.mean(axis=(2, 3)) @ self.w1.data + self.b_alpha.data
-
-    def thresholds_np(self, alpha: np.ndarray) -> np.ndarray:
-        return alpha @ self.w2.data + self.b_beta.data
-
-    def gamma_np(self, alpha: np.ndarray) -> np.ndarray:
-        return alpha @ self.w3.data + self.b_gamma.data
-
 
 def _shortcut(x: Tensor, c_in, c_out, stride) -> Tensor:
     if stride == 2:
@@ -259,15 +262,6 @@ def _shortcut(x: Tensor, c_in, c_out, stride) -> Tensor:
     return x
 
 
-def _shortcut_np(x: np.ndarray, c_in, c_out, stride) -> np.ndarray:
-    if stride == 2:
-        n, c, h, w = x.shape
-        x = x.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
-    if c_out != c_in:
-        x = np.concatenate([x] * (c_out // c_in), axis=1)
-    return x
-
-
 class BinaryConvBlock(_Layer, _NormAct):
     """Sign-binarize, binary conv, optional dynamic bias, norm, skip, act.
 
@@ -277,11 +271,10 @@ class BinaryConvBlock(_Layer, _NormAct):
     """
 
     def __init__(self, c_in, c_out, kernel, stride, rng, dtype=np.float32,
-                 dynamic=False, scale_granularity="filter"):
+                 dynamic=False):
         super().__init__()
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride = kernel, stride
-        self.scale_granularity = scale_granularity
         fan_in = c_in * kernel * kernel
         self.w = self._add_param("w", _uniform(rng, (c_out, c_in, kernel, kernel),
                                                fan_in, dtype))
@@ -293,17 +286,9 @@ class BinaryConvBlock(_Layer, _NormAct):
         else:
             self.thr = self._add_param("thr", np.zeros(c_in, dtype=dtype))
         self._init_norm_act(c_out, dtype)
-        self._scale_cache = None
 
     def scale(self, st: ForwardState):
-        if not st.binary_weights:
-            return None
-        if st.freeze_scales:
-            if self._scale_cache is None:
-                self._scale_cache = weight_scale(self.w.data, self.scale_granularity)
-            return self._scale_cache
-        self._scale_cache = None
-        return weight_scale(self.w.data, self.scale_granularity)
+        return self._weight_scales(st, [self.w])[0]
 
     def forward(self, x: Tensor, st: ForwardState) -> Tensor:
         if self.dynamic is not None:
@@ -312,32 +297,20 @@ class BinaryConvBlock(_Layer, _NormAct):
             gamma = self.dynamic.gamma(alpha)
         else:
             thr, gamma = self.thr, None
-        xb = ag.binarize(x, thr, surrogate=st.surrogate)
-        y = ag.conv2d(xb, self.w, stride=self.stride, pad=self.kernel // 2,
-                      binary_weights=st.binary_weights, surrogate=st.surrogate,
-                      frozen_scale=self.scale(st), pad_value=-1.0)
+        pad = self.kernel // 2
+        if st.packed:
+            y = Tensor(binary_conv2d(pack(x.data, thr.data), pack_filters(self.w.data),
+                                     self.scale(st), stride=self.stride, pad=pad))
+        else:
+            xb = ag.binarize(x, thr, surrogate=st.surrogate)
+            y = ag.conv2d(xb, self.w, stride=self.stride, pad=pad,
+                          surrogate=st.surrogate, scale=self.scale(st),
+                          pad_value=-1.0)
         if gamma is not None:
             y = y + gamma.reshape(gamma.shape[0], self.c_out, 1, 1)
         y = self._norm(y, st)
         y = y + _shortcut(x, self.c_in, self.c_out, self.stride)
         return self._act(y)
-
-    def infer_packed(self, x: np.ndarray) -> np.ndarray:
-        if self.dynamic is not None:
-            alpha = self.dynamic.alpha_np(x)
-            thr = self.dynamic.thresholds_np(alpha)
-            gamma = self.dynamic.gamma_np(alpha)
-        else:
-            thr, gamma = self.thr.data, None
-        bits = pack(x, thr)
-        scale = weight_scale(self.w.data, self.scale_granularity)
-        y = binary_conv2d(bits, pack_filters(self.w.data), scale,
-                          stride=self.stride, pad=self.kernel // 2)
-        if gamma is not None:
-            y = y + gamma[:, :, None, None]
-        y = self._norm_np(y)
-        y = y + _shortcut_np(x, self.c_in, self.c_out, self.stride)
-        return self._act_np(y)
 
     def out_hw(self, h, w):
         p, k, s = self.kernel // 2, self.kernel, self.stride
@@ -347,6 +320,7 @@ class BinaryConvBlock(_Layer, _NormAct):
 class BinaryMlpBlock(_Layer, _NormAct):
     """Three token-wise binary MLP branches over reconstructed tokens.
 
+    All branches binarize the input against one shared threshold vector.
     Each branch models one sampling range (pointwise / short / long); branch
     outputs are summed, then norm, identity skip and activation follow. The
     branch assignment is configurable so pointwise-only or long-only
@@ -354,8 +328,7 @@ class BinaryMlpBlock(_Layer, _NormAct):
     """
 
     def __init__(self, c, rng, dtype=np.float32,
-                 branches=("point", "short", "long"), share_threshold=True,
-                 scale_granularity="filter"):
+                 branches=("point", "short", "long")):
         super().__init__()
         if c % 4 != 0:
             raise DimensionError(f"MLP block needs channels % 4 == 0, got {c}")
@@ -364,69 +337,43 @@ class BinaryMlpBlock(_Layer, _NormAct):
                 raise ValueError(f"unknown branch kind {b!r}")
         self.c = c
         self.branches = tuple(branches)
-        self.share_threshold = share_threshold
-        self.scale_granularity = scale_granularity
-        self.ws = []
-        for i in range(3):
-            w = self._add_param(f"w{i}", _uniform(rng, (c, c), c, dtype))
-            self.ws.append(w)
-        if share_threshold:
-            self.thrs = [self._add_param("thr", np.zeros(c, dtype=dtype))] * 3
-        else:
-            self.thrs = [self._add_param(f"thr{i}", np.zeros(c, dtype=dtype))
-                         for i in range(3)]
+        self.ws = [self._add_param(f"w{i}", _uniform(rng, (c, c), c, dtype))
+                   for i in range(3)]
+        self.thr = self._add_param("thr", np.zeros(c, dtype=dtype))
         self._init_norm_act(c, dtype)
-        self._scale_cache = None
 
     def scales(self, st: ForwardState):
-        if not st.binary_weights:
-            return [None] * 3
-        if st.freeze_scales:
-            if self._scale_cache is None:
-                self._scale_cache = [weight_scale(w.data, self.scale_granularity)
-                                     for w in self.ws]
-            return self._scale_cache
-        self._scale_cache = None
-        return [weight_scale(w.data, self.scale_granularity) for w in self.ws]
+        return self._weight_scales(st, self.ws)
+
+    def _branch(self, src, kind, w: Tensor, scale, st: ForwardState) -> Tensor:
+        """Token-wise binary FC over one sampling range's tokens; src is the
+        packed input on the packed route, the binarized tensor otherwise."""
+        if st.packed:
+            if kind == "short":
+                src = reconstruct_short(src)
+            elif kind == "long":
+                src = reconstruct_long(src)
+            n, c, h, wd = src.shape
+            rows = BitTensor((n * h * wd, c), src.words.reshape(n * h * wd, -1),
+                             src.nbits)
+            out = binary_gemm(rows, pack_filters(w.data), scale)
+            return Tensor(out.reshape(n, h, wd, c).transpose(0, 3, 1, 2))
+        offs = branch_offsets(kind, src.shape[2], src.shape[3])
+        tok = src if offs is None else ag.quartile_shift(src, offs)
+        return ag.token_fc(tok, w, surrogate=st.surrogate, scale=scale)
 
     def forward(self, x: Tensor, st: ForwardState) -> Tensor:
-        h, w = x.data.shape[2], x.data.shape[3]
-        scales = self.scales(st)
-        xb_shared = ag.binarize(x, self.thrs[0], surrogate=st.surrogate) \
-            if self.share_threshold else None
+        if st.packed:
+            src = pack(x.data, self.thr.data)
+        else:
+            src = ag.binarize(x, self.thr, surrogate=st.surrogate)
         y = None
-        for i, kind in enumerate(self.branches):
-            xb = xb_shared if self.share_threshold else \
-                ag.binarize(x, self.thrs[i], surrogate=st.surrogate)
-            offs = branch_offsets(kind, h, w)
-            tok = xb if offs is None else ag.quartile_shift(xb, offs)
-            out = ag.token_fc(tok, self.ws[i], binary_weights=st.binary_weights,
-                              surrogate=st.surrogate, frozen_scale=scales[i])
+        for kind, w, scale in zip(self.branches, self.ws, self.scales(st)):
+            out = self._branch(src, kind, w, scale, st)
             y = out if y is None else y + out
         y = self._norm(y, st)
         y = y + x
         return self._act(y)
-
-    def infer_packed(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        scales = [weight_scale(wt.data, self.scale_granularity) for wt in self.ws]
-        bits_shared = pack(x, self.thrs[0].data) if self.share_threshold else None
-        y = None
-        for i, kind in enumerate(self.branches):
-            bits = bits_shared if self.share_threshold else pack(x, self.thrs[i].data)
-            if kind == "short":
-                bits = reconstruct_short(bits)
-            elif kind == "long":
-                bits = reconstruct_long(bits)
-            rows = BitTensor((n * h * w, c), bits.words.reshape(n * h * w, -1),
-                             bits.nbits)
-            wq = pack_filters(self.ws[i].data)
-            out = binary_gemm(rows, wq, scales[i])
-            out = out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-            y = out if y is None else y + out
-        y = self._norm_np(y)
-        y = y + x
-        return self._act_np(y)
 
     def out_hw(self, h, w):
         return h, w
@@ -443,6 +390,3 @@ class Classifier(_Layer):
 
     def forward(self, x: Tensor, st: ForwardState) -> Tensor:
         return ag.linear(ag.global_avg_pool(x), self.w, self.b)
-
-    def infer_packed(self, x: np.ndarray) -> np.ndarray:
-        return x.mean(axis=(2, 3)) @ self.w.data + self.b.data

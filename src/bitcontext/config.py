@@ -3,6 +3,7 @@
 Format: `[section]` headers followed by `key = value` lines; `#` starts a
 comment. Unknown sections or keys are rejected with their full key path.
 Command-line overrides use `section.key=value` and win over the file.
+Network spec files use the same format (see iter_ini).
 """
 
 from __future__ import annotations
@@ -63,11 +64,13 @@ DEFAULTS = {
 }
 
 
-def parse_config(text: str) -> dict:
-    """Parse and validate; returns {section: {key: typed value}} with
-    defaults filled in."""
-    cfg = {s: dict(v) for s, v in DEFAULTS.items()}
-    present = set()
+def iter_ini(text: str, error):
+    """Tokenize `[section]` / `key = value` text with `#` comments.
+
+    Yields (line number, section, key, value) per non-blank line; key and
+    value are None on a section header. A key line outside any section or
+    without `=` raises ``error``; schema checks are the caller's.
+    """
     section = None
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -75,18 +78,30 @@ def parse_config(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in SCHEMA:
-                raise ConfigError(f"line {ln}: unknown section [{section}]")
-            present.add(section)
+            yield ln, section, None, None
             continue
         if section is None:
-            raise ConfigError(f"line {ln}: key outside any section")
+            raise error(f"line {ln}: key outside any section")
         if "=" not in line:
-            raise ConfigError(f"line {ln}: expected 'key = value'")
+            raise error(f"line {ln}: expected 'key = value'")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key not in SCHEMA[section]:
+        yield ln, section, key, value
+
+
+def parse_config(text: str) -> dict:
+    """Parse and validate; returns {section: {key: typed value}} with
+    defaults filled in."""
+    cfg = {s: dict(v) for s, v in DEFAULTS.items()}
+    present = set()
+    for ln, section, key, value in iter_ini(text, ConfigError):
+        if section not in SCHEMA:
+            raise ConfigError(f"line {ln}: unknown section [{section}]")
+        if key is None:
+            present.add(section)
+        elif key not in SCHEMA[section]:
             raise ConfigError(f"line {ln}: unknown key {section}.{key}")
-        cfg[section][key] = _coerce(section, key, value, SCHEMA[section][key])
+        else:
+            cfg[section][key] = _coerce(section, key, value, SCHEMA[section][key])
     cfg["__sections__"] = present
     return cfg
 

@@ -23,6 +23,7 @@ import numpy as np
 from . import autograd as ag
 from .blocks import (BRANCH_KINDS, BinaryConvBlock, BinaryMlpBlock, Classifier,
                      ForwardState, StemConv)
+from .config import iter_ini
 
 LAYER_KINDS = ("stem-conv", "binary-conv-3x3", "binary-conv-1x1", "binary-mlp",
                "downsample", "classifier")
@@ -153,46 +154,34 @@ class NetworkSpec:
         return "\n".join(lines)
 
 
-_LAYER_KEYS = {"kind", "out", "stride", "kernel", "dynamic", "branches", "pool"}
-_NETWORK_KEYS = {"name", "input", "in_channels", "classes"}
+_SECTION_KEYS = {
+    "network": {"name", "input", "in_channels", "classes"},
+    "layer": {"kind", "out", "stride", "kernel", "dynamic", "branches", "pool"},
+}
 
 
 def parse_network_spec(text: str) -> NetworkSpec:
     """Parse the plain-text key-value spec format emitted by to_text()."""
     sections = []
-    current = None
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = {"__section__": line[1:-1], "__line__": ln}
-            sections.append(current)
-            continue
-        if current is None or "=" not in line:
-            raise SpecError(f"line {ln}: expected 'key = value' inside a section")
-        key, val = (s.strip() for s in line.split("=", 1))
-        current[key] = val
+    for ln, name, key, val in iter_ini(text, SpecError):
+        if name not in _SECTION_KEYS:
+            raise SpecError(f"line {ln}: unknown section [{name}]")
+        if key is None:
+            sections.append((name, {}))
+        elif key not in _SECTION_KEYS[name]:
+            raise SpecError(f"line {ln}: unknown {name} key {key!r}")
+        else:
+            sections[-1][1][key] = val
     net = None
     layers = []
-    for sec in sections:
-        name = sec.pop("__section__")
-        ln = sec.pop("__line__")
+    for name, sec in sections:
         if name == "network":
-            unknown = set(sec) - _NETWORK_KEYS
-            if unknown:
-                raise SpecError(f"line {ln}: unknown network keys {sorted(unknown)}")
             h, w = (int(v) for v in sec["input"].lower().split("x"))
             net = NetworkSpec(name=sec.get("name", "unnamed"), input_hw=(h, w),
                               classes=int(sec["classes"]),
                               in_channels=int(sec.get("in_channels", 3)))
-        elif name == "layer":
-            unknown = set(sec) - _LAYER_KEYS
-            if unknown:
-                raise SpecError(f"line {ln}: unknown layer keys {sorted(unknown)}")
-            layers.append(sec)
         else:
-            raise SpecError(f"line {ln}: unknown section [{name}]")
+            layers.append(sec)
     if net is None:
         raise SpecError("missing [network] section")
     c = net.in_channels
@@ -242,11 +231,6 @@ class Network:
         for p in self.params().values():
             p.grad = None
 
-    def clear_scale_cache(self):
-        for layer in self.layers:
-            if hasattr(layer, "_scale_cache"):
-                layer._scale_cache = None
-
     def forward(self, x, training=False, surrogate=False, freeze_scales=False):
         """Float-graph forward; returns the logits Tensor."""
         if isinstance(x, np.ndarray):
@@ -259,7 +243,8 @@ class Network:
         return x
 
     def forward_packed(self, x: np.ndarray) -> np.ndarray:
-        """Bit-kernel forward (evaluation statistics, binary weights)."""
+        """Evaluation forward with every binary core on the bit-packed kernels
+    (evaluation statistics, binary weights); equals forward() exactly."""
         if not self.binary_weights:
             raise ValueError("packed execution requires binarized weights")
         self._check_resolution(x)

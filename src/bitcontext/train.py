@@ -134,7 +134,9 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
         logits = net.forward(xb, training=True)
         obj = ag.cross_entropy(logits, yb, cfg.smoothing)
         if cfg.teacher_logits is not None and cfg.kd_weight > 0.0:
-            soft = _soft_targets_loss(logits, cfg.teacher_logits[idx])
+            teacher = cfg.teacher_logits[idx]
+            p = np.exp(teacher - teacher.max(axis=1, keepdims=True))
+            soft = ag.cross_entropy(logits, p / p.sum(axis=1, keepdims=True))
             obj = ag.add(ag.scale_by(obj, 1.0 - cfg.kd_weight),
                          ag.scale_by(soft, cfg.kd_weight))
         net.zero_grad()
@@ -144,25 +146,6 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
         result.loss_history.append(float(obj.data))
     result.final_lr = lr
     return result
-
-
-def _soft_targets_loss(logits: ag.Tensor, teacher: np.ndarray) -> ag.Tensor:
-    """Distillation hook: cross-entropy against precomputed teacher logits."""
-    t = teacher - teacher.max(axis=1, keepdims=True)
-    p = np.exp(t)
-    p /= p.sum(axis=1, keepdims=True)
-    n, k = logits.data.shape
-    z = logits.data.astype(np.float64)
-    z = z - z.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    val = -(p * logp).sum(axis=1).mean()
-
-    def bwd(g, logits=logits, logp=logp, p=p):
-        if logits.requires_grad:
-            logits.accumulate(((np.exp(logp) - p) * (float(g) / n))
-                              .astype(logits.data.dtype))
-
-    return ag.Tensor(np.asarray(val), parents=(logits,), backward=bwd)
 
 
 def train_step1(net: nw.Network, data: Dataset, cfg: TrainConfig):

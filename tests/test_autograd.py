@@ -99,7 +99,7 @@ class TestSignSte:
         w.data[0, 0, 0, 0] = 1.5
         w.data[1, 2, 2, 2] = -1.25
         x = ag.Tensor(rng.choice([-1.0, 1.0], size=(1, 3, 5, 5)))
-        y = ag.conv2d(x, w, stride=1, pad=1, binary_weights=True)
+        y = ag.conv2d(x, w, stride=1, pad=1, scale=bt.weight_scale(w.data))
         loss = ag.cross_entropy(ag.global_avg_pool(y), np.array([0]), 0.0)
         loss.backward()
         assert w.grad[0, 0, 0, 0] == 0.0
@@ -140,7 +140,7 @@ class TestBackward:
         x = ag.param(np.full((2, 4, 4, 4), 0.3), dtype=np.float64)
         w = ag.param(rng.normal(size=(4, 4, 3, 3)) * 0.2, dtype=np.float64)
         xb = ag.binarize(x, None, surrogate=True)
-        y = ag.conv2d(xb, w, pad=1, binary_weights=True, surrogate=True)
+        y = ag.conv2d(xb, w, pad=1, surrogate=True, scale=bt.weight_scale(w.data))
         loss = ag.scale_by(ag.cross_entropy(ag.global_avg_pool(y),
                                             np.array([0, 1]), 0.0), 0.0)
         loss.backward()
@@ -244,3 +244,34 @@ class TestOps:
     def test_cross_entropy_label_out_of_range(self):
         with pytest.raises(ValueError):
             ag.cross_entropy(ag.Tensor(np.zeros((1, 3))), np.array([3]), 0.0)
+
+    def test_cross_entropy_soft_targets_float64_reference(self, rng):
+        z = rng.normal(size=(5, 4)).astype(np.float32)
+        t = rng.uniform(size=(5, 4))
+        t /= t.sum(axis=1, keepdims=True)
+        logits = ag.param(z, dtype=np.float32)
+        loss = ag.cross_entropy(logits, t.astype(np.float32), 0.1)
+        loss.backward()
+        z64 = z.astype(np.float64)
+        logp = z64 - np.log(np.exp(z64).sum(axis=1, keepdims=True))
+        target = 0.9 * t.astype(np.float32).astype(np.float64) + 0.1 / 4
+        ref = -(target * logp).sum(axis=1).mean()
+        assert float(loss.data) == pytest.approx(ref, rel=1e-12)
+        ref_grad = (np.exp(logp) - target) / 5
+        assert np.allclose(logits.grad, ref_grad, rtol=1e-6, atol=1e-8)
+
+    def test_cross_entropy_one_hot_soft_targets_equal_labels(self, rng):
+        labels = np.array([2, 0, 1])
+        for smoothing in (0.0, 0.2):
+            a = ag.param(rng.normal(size=(3, 3)), dtype=np.float64)
+            b = ag.param(a.data.copy(), dtype=np.float64)
+            la = ag.cross_entropy(a, labels, smoothing)
+            lb = ag.cross_entropy(b, np.eye(3)[labels], smoothing)
+            la.backward()
+            lb.backward()
+            assert la.data == lb.data
+            assert np.array_equal(a.grad, b.grad)
+
+    def test_cross_entropy_soft_target_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            ag.cross_entropy(ag.Tensor(np.zeros((2, 3))), np.full((2, 4), 0.25))

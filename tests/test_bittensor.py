@@ -211,12 +211,6 @@ class TestWeightScale:
                 cnt += 1
             assert got[j] == pytest.approx(acc / cnt, rel=1e-6)
 
-    def test_layer_granularity(self, rng):
-        w = rng.normal(size=(4, 8))
-        got = bt.weight_scale(w, "layer")
-        assert np.allclose(got, np.abs(w).mean())
-        assert got.shape == (4,)
-
     def test_scale_is_l2_optimal_among_scalar_multiples(self, rng):
         """alpha*sign(w) minimizes L2 distance over candidate scalars."""
         w = rng.normal(size=(1, 40))

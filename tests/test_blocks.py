@@ -143,8 +143,8 @@ class TestBinaryMlpBlock:
         st = _mk_state()
         got = blk.forward(ag.Tensor(x), st).data
         # reference: pointwise-only wiring from the same parameters
-        xb = ag.binarize(ag.Tensor(x), blk.thrs[0])
-        y = ag.token_fc(xb, blk.ws[0], binary_weights=True)
+        xb = ag.binarize(ag.Tensor(x), blk.thr)
+        y = ag.token_fc(xb, blk.ws[0], scale=bt.weight_scale(blk.ws[0].data))
         y = ag.batchnorm(y, blk.bn_gamma, blk.bn_beta,
                          blk.running_mean.copy(), blk.running_var.copy(),
                          training=False)
@@ -174,8 +174,8 @@ class TestBinaryMlpBlock:
         c, h, w = 16, 8, 8
         x = rng.normal(size=(1, c, h, w)).astype(np.float32)
         blk = bk.BinaryMlpBlock(c, np.random.default_rng(3))
-        bits = bt.pack(x, blk.thrs[0].data)
-        xb = np.where(x > blk.thrs[0].data.reshape(1, c, 1, 1), 1.0, -1.0)
+        bits = bt.pack(x, blk.thr.data)
+        xb = np.where(x > blk.thr.data.reshape(1, c, 1, 1), 1.0, -1.0)
         offmap = {"point": [(0, 0)] * 4, "short": bk.SHORT_OFFSETS,
                   "long": bk.long_offsets(h, w)}
         acc = None
@@ -211,14 +211,6 @@ class TestBinaryMlpBlock:
         got = blk.forward(ag.Tensor(x), _mk_state()).data
         assert np.array_equal(got, blk.infer_packed(x))
 
-    def test_independent_thresholds_option(self, rng):
-        blk = bk.BinaryMlpBlock(8, np.random.default_rng(1),
-                                share_threshold=False)
-        assert len({id(t) for t in blk.thrs}) == 3
-        x = rng.normal(size=(1, 8, 4, 4)).astype(np.float32)
-        assert np.array_equal(blk.forward(ag.Tensor(x), _mk_state()).data,
-                              blk.infer_packed(x))
-
 
 class TestDynamicEmbedding:
     def _params(self, c_in=8, c_out=8, seed=0):
@@ -227,7 +219,7 @@ class TestDynamicEmbedding:
     def test_gap_matches_scalar_loop(self, rng):
         d = self._params()
         x = rng.normal(size=(2, 8, 3, 3)).astype(np.float32)
-        alpha = d.alpha_np(x)
+        alpha = d.alpha(ag.Tensor(x)).data
         for ni in range(2):
             for c in range(8):
                 acc = 0.0
@@ -241,25 +233,25 @@ class TestDynamicEmbedding:
     def test_zero_input_zero_bias_gives_zero_alpha(self):
         d = self._params()
         x = np.zeros((2, 8, 4, 4), dtype=np.float32)
-        assert np.all(d.alpha_np(x) == 0.0)
+        assert np.all(d.alpha(ag.Tensor(x)).data == 0.0)
 
     def test_alpha_constant_input(self, rng):
         d = self._params()
         v = 0.5
         x = np.full((1, 8, 4, 4), v, dtype=np.float32)
         expect = v * d.w1.data.sum(axis=0)
-        assert np.allclose(d.alpha_np(x), expect[None, :], rtol=1e-5)
+        assert np.allclose(d.alpha(ag.Tensor(x)).data, expect[None, :], rtol=1e-5)
 
     def test_zero_w2_gives_zero_thresholds(self, rng):
         d = self._params()
         alpha = rng.normal(size=(3, 2)).astype(np.float32)
-        assert np.all(d.thresholds_np(alpha) == 0.0)
+        assert np.all(d.thresholds(ag.Tensor(alpha)).data == 0.0)
 
     def test_uniform_bias_threshold(self, rng):
         d = self._params()
         d.b_beta.data[...] = 0.25
         alpha = rng.normal(size=(3, 2)).astype(np.float32)
-        assert np.all(d.thresholds_np(alpha) == 0.25)
+        assert np.all(d.thresholds(ag.Tensor(alpha)).data == 0.25)
 
     def test_threshold_matmul_oracle(self, rng):
         d = self._params()
@@ -267,20 +259,20 @@ class TestDynamicEmbedding:
         d.b_beta.data[...] = rng.normal(size=8).astype(np.float32)
         alpha = rng.normal(size=(4, 2)).astype(np.float32)
         ref = alpha @ d.w2.data + d.b_beta.data
-        assert np.allclose(d.thresholds_np(alpha), ref, rtol=1e-6)
+        assert np.allclose(d.thresholds(ag.Tensor(alpha)).data, ref, rtol=1e-6)
 
     def test_gamma_zero_init_and_uniform_bias(self, rng):
         d = self._params(c_out=12)
         alpha = rng.normal(size=(2, 2)).astype(np.float32)
-        assert np.all(d.gamma_np(alpha) == 0.0)
+        assert np.all(d.gamma(ag.Tensor(alpha)).data == 0.0)
         d.b_gamma.data[...] = -0.5
-        assert np.all(d.gamma_np(alpha) == -0.5)
+        assert np.all(d.gamma(ag.Tensor(alpha)).data == -0.5)
 
     def test_gamma_matmul_oracle(self, rng):
         d = self._params(c_out=12)
         d.w3.data[...] = rng.normal(size=d.w3.data.shape).astype(np.float32)
         alpha = rng.normal(size=(2, 2)).astype(np.float32)
-        assert np.allclose(d.gamma_np(alpha), alpha @ d.w3.data, rtol=1e-6)
+        assert np.allclose(d.gamma(ag.Tensor(alpha)).data, alpha @ d.w3.data, rtol=1e-6)
 
     def test_bottleneck_width_is_quarter(self):
         d = bk.DynamicEmbedding(16, 16, np.random.default_rng(0))
@@ -333,9 +325,9 @@ class TestBinaryConvBlock:
         blk.dynamic.w2.data[...] = 0.05
         blk.dynamic.w3.data[...] = -0.02
         x = rng.normal(size=(1, 4, 6, 6)).astype(np.float32)
-        alpha = blk.dynamic.alpha_np(x)
-        thr = blk.dynamic.thresholds_np(alpha)
-        gamma = blk.dynamic.gamma_np(alpha)
+        alpha = blk.dynamic.alpha(ag.Tensor(x))
+        thr = blk.dynamic.thresholds(alpha).data
+        gamma = blk.dynamic.gamma(alpha).data
         bits = bt.pack(x, thr)
         scale = bt.weight_scale(blk.w.data)
         got = bt.binary_conv2d(bits, bt.pack_filters(blk.w.data), scale,

@@ -1,10 +1,16 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitcontext import autograd as ag
 from bitcontext import network as nw
+from bitcontext import train as tr
+from bitcontext.config import ConfigError, parse_config
+from bitcontext.data import Dataset
 from conftest import binarize_oracle, dense_conv_oracle, reconstruct_oracle
 from bitcontext import blocks as bk
 
@@ -92,11 +98,74 @@ class TestSpecs:
             again = nw.parse_network_spec(text)
             assert again.to_text() == text
 
+    @pytest.mark.parametrize("parse,error", [
+        (nw.parse_network_spec, nw.SpecError), (parse_config, ConfigError)])
+    def test_key_outside_section_reports_its_line(self, parse, error):
+        with pytest.raises(error, match="line 2"):
+            parse("# comment\nname = x\n[network]\n")
+
     def test_spec_parse_rejects_unknown_keys(self):
         text = nw.desk_micro().to_text().replace("classes = 10",
                                                  "classes = 10\nwhat = 1")
         with pytest.raises(nw.SpecError):
             nw.parse_network_spec(text)
+
+
+@st.composite
+def random_specs(draw):
+    """Valid specs with odd or even extents, channel counts that are
+    multiples of 4 but not of 64, dynamic thresholds, stride-2 downsamples
+    and arbitrary branch tuples."""
+    input_hw = h, w = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    c = draw(st.sampled_from([4, 12, 20, 36, 68]))
+    layers = [nw.LayerSpec("stem-conv", draw(st.integers(1, 3)), c, stride=1)]
+    kinds = ("binary-conv-3x3", "binary-conv-1x1", "downsample", "binary-mlp")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=4)):
+        if kind == "downsample" and (h % 2 or w % 2):
+            kind = "binary-conv-1x1"
+        if kind == "binary-mlp" and min(h, w) < 2:
+            kind = "binary-conv-3x3"
+        if kind == "binary-mlp":
+            branches = tuple(draw(st.lists(st.sampled_from(bk.BRANCH_KINDS),
+                                           min_size=3, max_size=3)))
+            layers.append(nw.LayerSpec(kind, c, c, branches=branches))
+            continue
+        c_out = c if kind == "binary-conv-3x3" else c * draw(st.sampled_from([1, 2]))
+        stride = 2 if kind == "downsample" else 1
+        layers.append(nw.LayerSpec(kind, c, c_out, stride=stride,
+                                   dynamic=draw(st.booleans())))
+        c, h, w = c_out, h // stride, w // stride
+    layers.append(nw.LayerSpec("classifier", c, 5))
+    return nw.NetworkSpec("random", input_hw, 5, layers,
+                          in_channels=layers[0].c_in).validate()
+
+
+class TestRandomSpecExactness:
+    @given(random_specs(), st.integers(2, 3), st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_packed_equals_float_and_training_unaffected(self, spec, n, seed):
+        net = nw.build(spec, seed=seed % 1000)
+        r = np.random.default_rng(seed)
+        for p in net.params().values():  # off the zero/one init values
+            p.data += (0.1 * r.standard_normal(p.data.shape)).astype(p.data.dtype)
+        for name, b in net.buffers().items():
+            b[...] = r.uniform(0.5, 1.5, b.shape) if name.endswith("var") \
+                else 0.1 * r.standard_normal(b.shape)
+        h, w = spec.input_hw
+        x = r.standard_normal((n, spec.in_channels, h, w)).astype(np.float32)
+        assert np.array_equal(net.forward_packed(x), net.forward(x).data)
+
+        with mock.patch.object(bk, "pack", side_effect=RuntimeError("kernel")):
+            with pytest.raises(RuntimeError):
+                net.forward_packed(x)
+        params = net.params()
+        assert all(p.requires_grad for p in params.values())
+
+        before = {k: p.data.copy() for k, p in params.items()}
+        data = Dataset(x, r.integers(0, 5, n), 5)
+        tr.train_step(net, data, tr.TrainConfig(step=2, iterations=2, batch_size=n,
+                                                lr=1e-2, weight_decay=0.0))
+        assert [k for k, p in params.items() if np.array_equal(p.data, before[k])] == []
 
 
 class TestForward:
@@ -166,7 +235,7 @@ class TestForward:
         z = act(z, conv)
 
         mlp = net.layers[2]
-        xb = binarize_oracle(z, mlp.thrs[0].data.reshape(1, 16, 1, 1))
+        xb = binarize_oracle(z, mlp.thr.data.reshape(1, 16, 1, 1))
         offmap = [None, bk.SHORT_OFFSETS, bk.long_offsets(2, 2)]
         acc = None
         for i in range(3):
