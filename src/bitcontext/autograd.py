@@ -3,7 +3,10 @@
 The operator set covers exactly what the binary network family needs:
 dense/conv layers with optional weight binarization, threshold-shifted sign
 activations, channel-quartile token shifts, batch norm, parametric
-activations, pooling and a smoothed cross-entropy head.
+activations, pooling and a smoothed cross-entropy head. A token-wise FC is
+a 1x1 conv (token_fc is conv2d on a (c_out, c_in) weight), and the window
+gathering (im2col) and threshold rule (broadcast_threshold) come from
+bittensor, shared with the packed kernels.
 
 Binarization runs a hard sign in the forward pass (so the bit kernels stay
 exact) while the backward pass uses the derivative of the piecewise
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bittensor import DimensionError
+from .bittensor import DimensionError, broadcast_threshold, im2col
 
 
 def qb_forward(x):
@@ -187,37 +190,18 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 def binarize(x: Tensor, threshold: Tensor | None, surrogate: bool = False) -> Tensor:
     """Threshold-shifted sign with the polynomial straight-through backward.
 
-    threshold is None (fixed zero), per-channel (c,), or per-sample (n, c);
-    for 4-D inputs it broadcasts over the spatial axes. The backward rule
-    sends qb'(x - t) * g to x and the negated channel-sum of the same
-    quantity to the threshold.
+    threshold is None (fixed zero) or any shape that
+    bittensor.broadcast_threshold accepts, the rule bittensor.pack applies
+    too: scalar, per-channel (c,) or per-sample (n, c), broadcast over the
+    spatial axes of 4-D input. The backward rule sends qb'(x - t) * g to x
+    and the negated channel-sum of the same quantity to the threshold.
     """
     if threshold is None:
-        z = x.data
-        thr_shape = None
+        z, thr_shape, parents = x.data, None, (x,)
     else:
-        t = threshold.data
-        if x.data.ndim == 4:
-            n, c = x.data.shape[:2]
-            if t.shape == (c,):
-                t_b = t.reshape(1, c, 1, 1)
-            elif t.shape == (n, c):
-                t_b = t.reshape(n, c, 1, 1)
-            else:
-                raise DimensionError(
-                    f"threshold shape {t.shape} incompatible with input {x.data.shape}"
-                )
-        else:
-            if t.shape != (x.data.shape[-1],) and t.shape != x.data.shape:
-                raise DimensionError(
-                    f"threshold shape {t.shape} incompatible with input {x.data.shape}"
-                )
-            t_b = t
-        z = x.data - t_b
-        thr_shape = None if threshold is None else t_b.shape
-
+        t_b = broadcast_threshold(threshold.data, x.data.shape)
+        z, thr_shape, parents = x.data - t_b, t_b.shape, (x, threshold)
     out = qb_forward(z) if surrogate else hard_sign(z)
-    parents = (x,) if threshold is None else (x, threshold)
 
     def bwd(g, x=x, threshold=threshold, z=z, thr_shape=thr_shape):
         f = qb_grad(z) * g
@@ -231,21 +215,7 @@ def binarize(x: Tensor, threshold: Tensor | None, surrogate: bool = False) -> Te
 
 
 # ---------------------------------------------------------------------------
-# convolution machinery (im2col based)
-
-
-def im2col(x: np.ndarray, k: int, stride: int, pad: int, pad_value: float = 0.0):
-    n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                   constant_values=pad_value)
-    if x.shape[2] < k or x.shape[3] < k:
-        raise DimensionError(f"kernel {k} exceeds padded input {x.shape[2]}x{x.shape[3]}")
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    oh, ow = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k)
-    return np.ascontiguousarray(cols), oh, ow
+# convolution machinery (im2col based; im2col itself lives in bittensor)
 
 
 def col2im(grad_cols: np.ndarray, x_shape: tuple, k: int, stride: int, pad: int,
@@ -264,40 +234,37 @@ def col2im(grad_cols: np.ndarray, x_shape: tuple, k: int, stride: int, pad: int,
     return gx
 
 
-def _gemm_weights(w2d: np.ndarray, scale, surrogate: bool):
-    """(weights the GEMM multiplies by, per-filter scale or None).
-
-    scale None means full-precision weights. Otherwise the effective filter
-    is scale * sign(w), with scale a constant during backward (blocks pass
-    the mean absolute shadow weight, bittensor.weight_scale).
-    """
-    if scale is None:
-        return w2d, None
-    wq = qb_forward(w2d) if surrogate else hard_sign(w2d)
-    return wq, np.asarray(scale, dtype=w2d.dtype)
-
-
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
            surrogate: bool = False, scale=None,
            pad_value: float = 0.0) -> Tensor:
-    """2-D convolution; weights full precision (scale None) or
-    sign-binarized with the per-filter scale vector given.
+    """2-D convolution; a 2-D (c_out, c_in) weight is a 1x1 filter bank.
 
-    Binarized shadow weights receive the clipped polynomial STE gradient.
+    scale None means full-precision weights. Otherwise the effective filter
+    is scale * sign(w), with the per-filter scale a constant during backward
+    (blocks pass the mean absolute shadow weight, bittensor.weight_scale),
+    and the shadow weights receive the clipped polynomial STE gradient.
     The GEMM runs on the raw sign values and the scale multiplies the exact
     integer result afterwards, keeping float and bit-packed execution
     bit-identical.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    c_out, c_in, k, _ = w.data.shape
+    if w.data.ndim == 2:
+        (c_out, c_in), k = w.data.shape, 1
+    else:
+        c_out, c_in, k, _ = w.data.shape
     if x.data.shape[1] != c_in:
         raise DimensionError(
             f"conv2d: input channels {x.data.shape[1]} != filter channels {c_in}"
         )
     n = x.data.shape[0]
     cols, oh, ow = im2col(x.data, k, stride, pad, pad_value)
-    wq, scale = _gemm_weights(w.data.reshape(c_out, -1), scale, surrogate)
+    w2d = w.data.reshape(c_out, -1)
+    if scale is None:
+        wq = w2d
+    else:
+        wq = qb_forward(w2d) if surrogate else hard_sign(w2d)
+        scale = np.asarray(scale, dtype=w2d.dtype)
     out = cols @ wq.T
     if scale is not None:
         out = out * scale[None, :]
@@ -321,38 +288,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
 
 def token_fc(x: Tensor, w: Tensor, surrogate: bool = False,
              scale=None) -> Tensor:
-    """Token-wise fully connected layer over channels at every position.
-
-    x is (n, c_in, h, w); w is (c_out, c_in). Equivalent to a 1x1 conv; the
-    same weight-binarization STE as conv2d applies.
-    """
-    n, c_in, h, wd = x.data.shape
-    c_out = w.data.shape[0]
-    if w.data.shape[1] != c_in:
-        raise DimensionError(
-            f"token_fc: input channels {c_in} != weight columns {w.data.shape[1]}"
-        )
-    xt = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(-1, c_in)
-    wq, scale = _gemm_weights(w.data, scale, surrogate)
-    out = xt @ wq.T
-    if scale is not None:
-        out = out * scale[None, :]
-    out = out.reshape(n, h, wd, c_out).transpose(0, 3, 1, 2)
-
-    def bwd(g, x=x, w=w, xt=xt, wq=wq, scale=scale):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, c_out)
-        if scale is not None:
-            g2 = g2 * scale[None, :]
-        if x.requires_grad:
-            gx = (g2 @ wq).reshape(n, h, wd, c_in).transpose(0, 3, 1, 2)
-            x.accumulate(gx)
-        if w.requires_grad:
-            gw = g2.T @ xt
-            if scale is not None:
-                gw = gw * qb_grad(w.data)
-            w.accumulate(gw)
-
-    return Tensor(out, parents=(x, w), backward=bwd)
+    """Token-wise fully connected layer over channels at every position:
+    x is (n, c_in, h, w), w is (c_out, c_in), read by conv2d as a 1x1
+    filter bank, so forward, scale and STE backward are conv2d's."""
+    return conv2d(x, w, surrogate=surrogate, scale=scale)
 
 
 def quartile_shift(x: Tensor, offsets) -> Tensor:

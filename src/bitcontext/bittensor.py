@@ -10,6 +10,11 @@ kernels mask the final word, so results never depend on padding content.
 Layouts:
   2-D (rows, cols)   -> words shape (rows, W), packed along cols
   4-D (n, c, h, w)   -> words shape (n, h, w, W), packed along channels
+
+Two rules here serve both execution routes, so the float graph and the
+packed kernels cannot drift apart: broadcast_threshold checks and shapes
+binarization thresholds for pack and autograd.binarize, and im2col gathers
+convolution windows for binary_conv2d and autograd.conv2d.
 """
 
 from __future__ import annotations
@@ -89,43 +94,42 @@ class BitTensor:
         return BitTensor(self.shape, self.words.copy(), self.nbits)
 
 
-def pack(x: np.ndarray, threshold=0.0) -> BitTensor:
-    """Binarize a real tensor against per-channel thresholds and pack it.
+def broadcast_threshold(t: np.ndarray, shape: tuple) -> np.ndarray:
+    """Check a binarization threshold against an input shape and reshape it
+    to broadcast; the one rule behind pack and autograd.binarize.
 
-    x may be 1-D, 2-D (rows, cols) or 4-D NCHW. The threshold is a scalar, a
-    per-channel vector, or (for NCHW) a per-sample (n, c) matrix. A value
-    strictly above its threshold packs as bit 1 (+1); everything else,
-    including exact ties, packs as bit 0 (-1).
+    The threshold is a scalar, a per-channel vector or a per-sample matrix.
+    For NCHW input those are (), (c,) and (n, c), the vectors extending over
+    the spatial axes; for 1-D or 2-D input they are (), (k,) and the input
+    shape itself, with k the last axis.
+    """
+    t = np.asarray(t)
+    if len(shape) == 4:
+        n, c = shape[:2]
+        if t.shape in ((), (c,), (n, c)):
+            return t.reshape((n if t.ndim == 2 else 1, c, 1, 1)) if t.ndim else t
+    elif len(shape) in (1, 2):
+        if t.shape in ((), shape[-1:], shape):
+            return t
+    else:
+        raise DimensionError(f"unsupported rank {len(shape)} for binarization")
+    raise DimensionError(f"threshold shape {t.shape} incompatible with input {shape}")
+
+
+def pack(x: np.ndarray, threshold=0.0) -> BitTensor:
+    """Binarize a real tensor against its thresholds and pack it.
+
+    x may be 1-D, 2-D (rows, cols) or 4-D NCHW; broadcast_threshold gives
+    the accepted threshold shapes. A value strictly above its threshold
+    packs as bit 1 (+1); everything else, including exact ties, packs as
+    bit 0 (-1).
     """
     x = np.asarray(x)
     threshold = np.asarray(threshold, dtype=x.dtype if x.dtype.kind == "f" else np.float64)
-    if x.ndim == 4:
-        n, c, h, w = x.shape
-        if threshold.ndim == 0:
-            thr = threshold
-        elif threshold.shape == (c,):
-            thr = threshold.reshape(1, c, 1, 1)
-        elif threshold.shape == (n, c):
-            thr = threshold.reshape(n, c, 1, 1)
-        else:
-            raise DimensionError(
-                f"threshold shape {threshold.shape} incompatible with channels {c}"
-            )
-        bits = (x > thr).transpose(0, 2, 3, 1)  # channel-last
-        return BitTensor((n, c, h, w), _pack_last_axis(bits), c)
-    if x.ndim in (1, 2):
-        k = x.shape[-1]
-        if threshold.ndim == 0:
-            thr = threshold
-        elif threshold.shape == (k,):
-            thr = threshold
-        else:
-            raise DimensionError(
-                f"threshold shape {threshold.shape} incompatible with row length {k}"
-            )
-        bits = x > thr
-        return BitTensor(x.shape, _pack_last_axis(bits), k)
-    raise DimensionError(f"unsupported rank {x.ndim} for pack")
+    bits = x > broadcast_threshold(threshold, x.shape)
+    if x.ndim == 4:  # packed along channels, channel-last
+        return BitTensor(x.shape, _pack_last_axis(bits.transpose(0, 2, 3, 1)), x.shape[1])
+    return BitTensor(x.shape, _pack_last_axis(bits), x.shape[-1])
 
 
 def unpack(b: BitTensor) -> np.ndarray:
@@ -206,20 +210,21 @@ def binary_gemm(a: BitTensor, w: BitTensor, scale: np.ndarray) -> np.ndarray:
     return dots * scale[None, :]
 
 
-def _im2col_bits(bits_nchw: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """Gather conv patches from a 0/1 NCHW array into rows of length c*k*k.
+def im2col(x: np.ndarray, k: int, stride: int, pad: int, pad_value=0):
+    """Gather k x k windows of an NCHW array into rows of length c*k*k
+    (channel-major, then kernel row, then kernel column), one row per
+    output position; padding pixels take pad_value. Returns (cols, oh, ow).
 
-    Spatial padding inserts zeros, i.e. -1 in the sign domain.
+    Both routes gather windows here: autograd.conv2d on float values and
+    binary_conv2d on 0/1 bits, where padding 0 is -1 in the sign domain.
     """
-    n, c, h, w = bits_nchw.shape
+    n, c, h, w = x.shape
     if pad:
-        bits_nchw = np.pad(
-            bits_nchw, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=0
-        )
-    hp, wp = bits_nchw.shape[2], bits_nchw.shape[3]
-    if hp < k or wp < k:
-        raise DimensionError(f"kernel {k} exceeds padded input {hp}x{wp}")
-    win = np.lib.stride_tricks.sliding_window_view(bits_nchw, (k, k), axis=(2, 3))
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                   constant_values=pad_value)
+    if x.shape[2] < k or x.shape[3] < k:
+        raise DimensionError(f"kernel {k} exceeds padded input {x.shape[2]}x{x.shape[3]}")
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]  # (n, c, oh, ow, k, k)
     oh, ow = win.shape[2], win.shape[3]
     cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k)
@@ -248,7 +253,7 @@ def binary_conv2d(a: BitTensor, w: BitTensor, scale: np.ndarray,
             f"filter fan-in {fan_in} is not c_in*k*k for c_in={c}"
         )
     bits = _unpack_last_axis(a.words, a.nbits).transpose(0, 3, 1, 2)  # (n,c,h,w)
-    cols, oh, ow = _im2col_bits(bits, k, stride, pad)
+    cols, oh, ow = im2col(bits, k, stride, pad)
     a_rows = pack_bits(cols)
     out = binary_gemm(a_rows, w, scale)  # (n*oh*ow, c_out)
     return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)

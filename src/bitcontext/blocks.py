@@ -8,16 +8,19 @@ st.packed swaps only the binary core of the binary conv and MLP blocks:
   float   -- ag.binarize -> ag.conv2d, or ag.binarize -> quartile_shift
              -> token_fc, on +-1 float tensors (or the polynomial
              surrogate when st.surrogate); training and gradient checks
-             run here.
+             run here. A token-wise FC branch is a binary 1x1 conv:
+             token_fc is ag.conv2d reading the (c, c) weight as k=1.
   packed  -- pack -> binary_conv2d, or pack -> reconstruct_* ->
              binary_gemm, on bit-packed XNOR/popcount kernels.
 
-Dynamic thresholds and biases, norm, shortcut, activation, stem and
-classifier run the same autograd ops on both routes. infer_packed(x) is
-forward on the packed route with the layer's parameters set to require no
-grad, so it builds no graph. Because the binary GEMMs produce exact
-integers before any float scaling, the two routes agree bit for bit in
-evaluation mode; tests pin that.
+Both routes share the binary-core rules: ag.binarize and pack check and
+broadcast thresholds with bittensor.broadcast_threshold, and ag.conv2d and
+binary_conv2d gather windows with bittensor.im2col. Dynamic thresholds and
+biases, norm, shortcut, activation, stem and classifier run the same
+autograd ops on both routes. infer_packed(x) is forward on the packed route
+with the layer's parameters set to require no grad, so it builds no graph.
+Because the binary GEMMs produce exact integers before any float scaling,
+the two routes agree bit for bit in evaluation mode; tests pin that.
 """
 
 from __future__ import annotations
@@ -211,13 +214,6 @@ class StemConv(_Layer):
             y = ag.avgpool2(y)
         return y
 
-    def out_hw(self, h, w):
-        oh, ow = (h + 2 * (self.kernel // 2) - self.kernel) // self.stride + 1, \
-                 (w + 2 * (self.kernel // 2) - self.kernel) // self.stride + 1
-        if self.pool:
-            oh, ow = oh // 2, ow // 2
-        return oh, ow
-
 
 class DynamicEmbedding(_Layer):
     """Input-conditioned binarization thresholds and output compensation.
@@ -312,10 +308,6 @@ class BinaryConvBlock(_Layer, _NormAct):
         y = y + _shortcut(x, self.c_in, self.c_out, self.stride)
         return self._act(y)
 
-    def out_hw(self, h, w):
-        p, k, s = self.kernel // 2, self.kernel, self.stride
-        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-
 
 class BinaryMlpBlock(_Layer, _NormAct):
     """Three token-wise binary MLP branches over reconstructed tokens.
@@ -374,9 +366,6 @@ class BinaryMlpBlock(_Layer, _NormAct):
         y = self._norm(y, st)
         y = y + x
         return self._act(y)
-
-    def out_hw(self, h, w):
-        return h, w
 
 
 class Classifier(_Layer):

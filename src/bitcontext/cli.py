@@ -59,10 +59,7 @@ def _network_spec(cfg) -> nw.NetworkSpec:
         kwargs["mlp_tail"] = ncfg["mlp_tail"]
     if name == "desk-sweep":
         kwargs["n_mlp"] = ncfg["n_mlp"]
-    try:
-        return nw.preset(name, **kwargs)
-    except nw.SpecError as e:
-        raise RuntimeFailure(str(e)) from None
+    return nw.preset(name, **kwargs)
 
 
 def _dataset_root(cfg) -> str:
@@ -123,10 +120,7 @@ def cmd_train(args) -> int:
     seed = cfg["run"]["seed"]
     net = nw.build(spec, seed=seed)
     if args.init:
-        try:
-            nw.load_into(net, args.init, allow_missing=True)
-        except nw.CheckpointError as e:
-            raise RuntimeFailure(str(e)) from None
+        nw.load_into(net, args.init, allow_missing=True)
     steps = [int(s) for s in args.steps.split(",")] if args.steps else \
         [1, 2] if "train2" in cfg["__sections__"] or not args.init else [2]
     state = None
@@ -171,10 +165,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_cfg(args)
-    try:
-        net = nw.load(args.checkpoint)
-    except nw.CheckpointError as e:
-        raise RuntimeFailure(str(e)) from None
+    net = nw.load(args.checkpoint)
     eval_data = _load_data(cfg, "eval_split")
     m = tr.evaluate(net, eval_data, packed=args.packed)
     _emit("\t".join(["top1", "top5", "loss", "n"]) + "\n" +
@@ -197,14 +188,8 @@ def cmd_count_ops(args) -> int:
 
 def cmd_analyze_binerr(args) -> int:
     cfg = _load_cfg(args)
-    try:
-        net = nw.load(args.checkpoint)
-    except nw.CheckpointError as e:
-        raise RuntimeFailure(str(e)) from None
-    try:
-        report = analysis.per_branch_report(net, mode=args.mode)
-    except ValueError as e:
-        raise RuntimeFailure(str(e)) from None
+    net = nw.load(args.checkpoint)
+    report = analysis.per_branch_report(net, mode=args.mode)
     _emit(report.to_delimited(), args.output)
     if args.output:
         _write_manifest(args.output, cfg, "analyze-binerr")
@@ -235,14 +220,11 @@ def cmd_sweep(args) -> int:
                               weight_decay=s2["weight_decay"],
                               smoothing=s2["smoothing"],
                               seed=cfg["run"]["seed"] + 1, augment=s2["augment"])
-    try:
-        rows = tr.sweep_replacement(points, (base * (1 - band), base * (1 + band)),
-                                    base_spec=base_spec,
-                                    classes=cfg["network"]["classes"],
-                                    train_data=train_data, eval_data=eval_data,
-                                    cfg1=cfg1, cfg2=cfg2, seed=cfg["run"]["seed"])
-    except nw.SpecError as e:
-        raise RuntimeFailure(str(e)) from None
+    rows = tr.sweep_replacement(points, (base * (1 - band), base * (1 + band)),
+                                base_spec=base_spec,
+                                classes=cfg["network"]["classes"],
+                                train_data=train_data, eval_data=eval_data,
+                                cfg1=cfg1, cfg2=cfg2, seed=cfg["run"]["seed"])
     cols = list(rows[0].keys())
     lines = ["\t".join(cols)]
     for r in rows:

@@ -92,20 +92,17 @@ def _dynamic_flops(c_in: int, c_out: int, h: int, w: int) -> int:
 def count_layer(ls: LayerSpec, hw: tuple, mac_ops: int = 1):
     """BOPs and FLOPs for one layer at the given input resolution.
 
-    Returns (bops, flops, flops_convfc, out_hw).
+    Returns (bops, flops, flops_convfc, out_hw), out_hw from LayerSpec.out_hw.
     """
     h, w = hw
+    oh, ow = ls.out_hw(h, w)
     if ls.kind == "stem-conv":
-        oh, ow = h // ls.stride, w // ls.stride
-        macs = ls.kernel * ls.kernel * ls.c_in * ls.c_out * oh * ow
-        flops = macs
-        if ls.pool:
-            flops += ls.c_out * (oh // 2) * (ow // 2)
-            oh, ow = oh // 2, ow // 2
+        ch, cw = h // ls.stride, w // ls.stride  # the conv's output, before the pool
+        macs = ls.kernel * ls.kernel * ls.c_in * ls.c_out * ch * cw
+        flops = macs + (ls.c_out * oh * ow if ls.pool else 0)
         return 0, mac_ops * flops, mac_ops * macs, (oh, ow)
     if ls.kind in ("binary-conv-3x3", "binary-conv-1x1", "downsample"):
         k = 1 if ls.kind == "binary-conv-1x1" else 3
-        oh, ow = h // ls.stride, w // ls.stride
         bops = k * k * ls.c_in * ls.c_out * oh * ow
         flops = CONV_BLOCK_ELEM_FLOPS * ls.c_out * oh * ow
         if ls.dynamic:
@@ -114,11 +111,11 @@ def count_layer(ls: LayerSpec, hw: tuple, mac_ops: int = 1):
     if ls.kind == "binary-mlp":
         bops = 3 * ls.c_in * ls.c_out * h * w
         flops = MLP_BLOCK_ELEM_FLOPS * ls.c_out * h * w
-        return mac_ops * bops, mac_ops * flops, 0, (h, w)
+        return mac_ops * bops, mac_ops * flops, 0, (oh, ow)
     if ls.kind == "classifier":
         gap = ls.c_in * h * w
         fc = ls.c_in * ls.c_out
-        return 0, mac_ops * (gap + fc), mac_ops * fc, (1, 1)
+        return 0, mac_ops * (gap + fc), mac_ops * fc, (oh, ow)
     raise ValueError(f"unresolved layer kind {ls.kind!r}")
 
 

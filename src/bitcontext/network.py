@@ -62,9 +62,11 @@ class LayerSpec:
     def validate(self):
         if self.kind not in LAYER_KINDS:
             raise SpecError(f"unknown layer kind {self.kind!r}")
+        if self.pool and self.kind != "stem-conv":
+            raise SpecError(f"{self.kind} cannot pool; only the stem-conv pools")
         if self.kind == "binary-mlp":
-            if self.c_in != self.c_out:
-                raise SpecError("binary-mlp must preserve channels")
+            if self.c_in != self.c_out or self.stride != 1:
+                raise SpecError("binary-mlp is stride 1 and must preserve channels")
             if self.c_in % 4 != 0:
                 raise SpecError(
                     f"binary-mlp needs channels divisible by 4, got {self.c_in}"
@@ -86,6 +88,14 @@ class LayerSpec:
                 f"{self.kind} supports c_out in {{c_in, 2*c_in}}, "
                 f"got {self.c_in} -> {self.c_out}"
             )
+
+    def out_hw(self, h: int, w: int) -> tuple:
+        """Output resolution at an h x w input: the stride divides, a stem
+        pool halves again, and the classifier pools to 1x1."""
+        if self.kind == "classifier":
+            return 1, 1
+        div = self.stride * (2 if self.pool else 1)
+        return h // div, w // div
 
 
 @dataclass
@@ -124,8 +134,7 @@ class NetworkSpec:
                     raise SpecError(
                         f"layer {i} downsamples {h}x{w} not divisible by {div}"
                     )
-            h = h // ls.stride // (2 if ls.pool else 1)
-            w = w // ls.stride // (2 if ls.pool else 1)
+            h, w = ls.out_hw(h, w)
             c = ls.c_out
         return self
 
@@ -158,6 +167,8 @@ _SECTION_KEYS = {
     "network": {"name", "input", "in_channels", "classes"},
     "layer": {"kind", "out", "stride", "kernel", "dynamic", "branches", "pool"},
 }
+# A classifier's width comes from [network] classes, so it needs no "out".
+_REQUIRED_KEYS = {"network": ("input", "classes"), "layer": ("kind", "out")}
 
 
 def parse_network_spec(text: str) -> NetworkSpec:
@@ -167,14 +178,17 @@ def parse_network_spec(text: str) -> NetworkSpec:
         if name not in _SECTION_KEYS:
             raise SpecError(f"line {ln}: unknown section [{name}]")
         if key is None:
-            sections.append((name, {}))
+            sections.append((ln, name, {}))
         elif key not in _SECTION_KEYS[name]:
             raise SpecError(f"line {ln}: unknown {name} key {key!r}")
         else:
-            sections[-1][1][key] = val
+            sections[-1][2][key] = val
     net = None
     layers = []
-    for name, sec in sections:
+    for ln, name, sec in sections:
+        for key in _REQUIRED_KEYS[name]:
+            if key not in sec and not (key == "out" and sec.get("kind") == "classifier"):
+                raise SpecError(f"line {ln}: [{name}] lacks required key {key!r}")
         if name == "network":
             h, w = (int(v) for v in sec["input"].lower().split("x"))
             net = NetworkSpec(name=sec.get("name", "unnamed"), input_hw=(h, w),
@@ -508,43 +522,46 @@ def read_checkpoint(path):
     body, crc_stored = blob[:-4], struct.unpack("<I", blob[-4:])[0]
     if zlib.crc32(body) & 0xFFFFFFFF != crc_stored:
         raise CheckpointChecksumError(f"{path}: CRC mismatch (corrupt file)")
-    off = 4
-    (version,) = struct.unpack_from("<I", body, off)
-    off += 4
+    view, off = memoryview(body), 4
+
+    def take(nbytes):
+        nonlocal off
+        if off + nbytes > len(body):
+            raise CheckpointError(
+                f"{path}: body ends at byte {len(body)}, headers claim {off + nbytes}")
+        off += nbytes
+        return view[off - nbytes:off]
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def sized(len_fmt):  # a length-prefixed byte string
+        return bytes(take(unpack(len_fmt)[0]))
+
+    (version,) = unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
         )
-    (n,) = struct.unpack_from("<I", body, off)
-    off += 4
-    spec_text = body[off:off + n].decode()
-    off += n
-    digest = body[off:off + 32]
-    off += 32
-    if hashlib.sha256(spec_text.encode()).digest() != digest:
+    spec_text = sized("<I").decode()
+    if hashlib.sha256(spec_text.encode()).digest() != bytes(take(32)):
         raise CheckpointChecksumError(f"{path}: spec hash mismatch")
-    (n,) = struct.unpack_from("<I", body, off)
-    off += 4
-    meta = json.loads(body[off:off + n].decode())
-    off += n
-    (count,) = struct.unpack_from("<I", body, off)
-    off += 4
+    meta = json.loads(sized("<I"))
     arrays = {}
-    for _ in range(count):
-        (ln,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off:off + ln].decode()
-        off += ln
-        code, ndim = struct.unpack_from("<BB", body, off)
-        off += 2
-        shape = struct.unpack_from(f"<{ndim}I", body, off)
-        off += 4 * ndim
-        (nbytes,) = struct.unpack_from("<Q", body, off)
-        off += 8
-        arr = np.frombuffer(body, dtype=_CODE_DTYPES[code].newbyteorder("<"),
-                            count=int(np.prod(shape)) if ndim else 1, offset=off)
-        arrays[name] = arr.reshape(shape).astype(_CODE_DTYPES[code])
-        off += nbytes
+    for _ in range(unpack("<I")[0]):
+        name = sized("<H").decode()
+        code, ndim = unpack("<BB")
+        shape = unpack(f"<{ndim}I")
+        (nbytes,) = unpack("<Q")
+        if code not in _CODE_DTYPES:
+            raise CheckpointError(f"{path}: tensor {name} has unknown dtype code {code}")
+        dtype = _CODE_DTYPES[code]
+        need = dtype.itemsize * int(np.prod(shape))
+        if nbytes != need:
+            raise CheckpointError(
+                f"{path}: tensor {name} holds {nbytes} bytes, shape {shape} needs {need}")
+        arr = np.frombuffer(take(nbytes), dtype=dtype.newbyteorder("<"))
+        arrays[name] = arr.reshape(shape).astype(dtype)
     return parse_network_spec(spec_text), meta, arrays
 
 

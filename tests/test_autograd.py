@@ -107,6 +107,33 @@ class TestSignSte:
         assert np.any(w.grad != 0.0)
 
 
+class TestTokenFc:
+    @pytest.mark.parametrize("binary,surrogate", [
+        (False, False), (True, False), (True, True)])
+    def test_equals_conv2d_with_1x1_filters(self, binary, surrogate, rng):
+        x0 = rng.normal(size=(2, 8, 3, 5))
+        w0 = rng.uniform(-1.3, 1.3, size=(6, 8))  # some outside the STE support
+        scale = bt.weight_scale(w0) if binary else None
+        runs = []
+        for fc in (lambda x, w: ag.token_fc(x, w, surrogate, scale),
+                   lambda x, w: ag.conv2d(x, w.reshape(6, 8, 1, 1),
+                                          surrogate=surrogate, scale=scale)):
+            x, w = ag.param(x0, np.float64), ag.param(w0, np.float64)
+            y = fc(x, w)
+            ag.cross_entropy(ag.global_avg_pool(y), np.array([1, 4]), 0.1).backward()
+            runs.append((y.data, x.grad, w.grad))
+        (y, gx, gw), (y_ref, gx_ref, gw_ref) = runs
+        assert np.array_equal(y, y_ref)
+        assert np.array_equal(gx, gx_ref)
+        assert np.array_equal(gw, gw_ref)
+        assert gw.shape == (6, 8) and np.any(gw != 0.0)
+
+    def test_channel_mismatch(self, rng):
+        x = ag.Tensor(rng.normal(size=(1, 8, 2, 2)))
+        with pytest.raises(bt.DimensionError):
+            ag.token_fc(x, ag.param(rng.normal(size=(6, 7))))
+
+
 class _SquaredError:
     """Quadratic loss helper built on the public Tensor extension point."""
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitcontext import autograd as ag
 from bitcontext import bittensor as bt
 from conftest import binarize_oracle, dense_conv_oracle
 
@@ -40,6 +41,28 @@ class TestPack:
     def test_padding_bits_zeroed(self, rng):
         b = bt.pack(rng.normal(size=(4, 70)), 0.0)
         assert b.padding_is_clean()
+
+    @pytest.mark.parametrize("x_shape,t_shape", [
+        ((2, 6, 3, 3), ()), ((2, 6, 3, 3), (6,)), ((2, 6, 3, 3), (2, 6)),
+        ((4, 70), ()), ((4, 70), (70,)), ((4, 70), (4, 70)),
+        ((70,), ()), ((70,), (70,))])
+    def test_bits_equal_float_route_signs(self, x_shape, t_shape, rng):
+        x = rng.normal(size=x_shape).astype(np.float32)
+        t = rng.normal(size=t_shape).astype(np.float32)
+        x.flat[0] = t.flat[0]  # an exact tie is -1 on both routes
+        bits = bt.unpack(bt.pack(x, t)) > 0
+        signs = ag.binarize(ag.Tensor(x), ag.Tensor(t)).data > 0
+        assert np.array_equal(bits, signs)
+
+    @pytest.mark.parametrize("x_shape,t_shape", [
+        ((2, 6, 3, 3), (5,)), ((2, 6, 3, 3), (3, 6)), ((2, 6, 3, 3), (6, 3, 3)),
+        ((4, 70), (4,)), ((4, 70), (3, 70)), ((70,), (1, 70)), ((2, 3, 4), ())])
+    def test_bad_threshold_shape_rejected_on_both_routes(self, x_shape, t_shape):
+        x, t = np.zeros(x_shape, np.float32), np.zeros(t_shape, np.float32)
+        with pytest.raises(bt.DimensionError):
+            bt.pack(x, t)
+        with pytest.raises(bt.DimensionError):
+            ag.binarize(ag.Tensor(x), ag.Tensor(t))
 
 
 class TestUnpack:

@@ -186,6 +186,16 @@ class TestErrors:
         open("ck.bin", "wb").write(bytes(blob))
         assert run(["analyze-binerr", "--checkpoint", "ck.bin"]) == 2
 
+    @pytest.mark.parametrize("text,key", [
+        ("[network]\nclasses = 3\n", "input"),
+        ("[network]\ninput = 8x8\nclasses = 3\n[layer]\nout = 8\n", "kind")])
+    def test_spec_file_missing_key_is_runtime_error(self, tmp_path, monkeypatch,
+                                                    capsys, text, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.spec").write_text(text)
+        assert run(["count-ops", "--set", "network.spec_file=net.spec"]) == 2
+        assert f"lacks required key '{key}'" in capsys.readouterr().err
+
     def test_dataset_root_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("BITCONTEXT_DATA", str(tmp_path / "envdata"))

@@ -1,4 +1,6 @@
 import os
+import struct
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -103,6 +105,23 @@ class TestSpecs:
     def test_key_outside_section_reports_its_line(self, parse, error):
         with pytest.raises(error, match="line 2"):
             parse("# comment\nname = x\n[network]\n")
+
+    @pytest.mark.parametrize("text,line,key", [
+        ("[network]\nclasses = 3\n", 1, "input"),
+        ("# spec\n[network]\ninput = 8x8\n", 2, "classes"),
+        ("[network]\ninput = 8x8\nclasses = 3\n\n[layer]\nout = 8\n", 5, "kind"),
+        ("[network]\ninput = 8x8\nclasses = 3\n[layer]\nkind = stem-conv\n", 4, "out"),
+    ])
+    def test_missing_required_key_names_its_section_line(self, text, line, key):
+        with pytest.raises(nw.SpecError, match=f"line {line}: .* '{key}'"):
+            nw.parse_network_spec(text)
+
+    @pytest.mark.parametrize("ls", [
+        nw.LayerSpec("binary-conv-3x3", 8, 8, pool=True),
+        nw.LayerSpec("binary-mlp", 8, 8, stride=2)])
+    def test_pool_or_stride_the_block_lacks_rejected(self, ls):
+        with pytest.raises(nw.SpecError):
+            ls.validate()
 
     def test_spec_parse_rejects_unknown_keys(self):
         text = nw.desk_micro().to_text().replace("classes = 10",
@@ -319,6 +338,28 @@ class TestPersistence:
         p.write_bytes(bytes(blob))
         with pytest.raises(nw.CheckpointChecksumError):
             nw.load(p)
+
+    @staticmethod
+    def _resealed(tmp_path, edit):
+        """A saved desk-micro checkpoint whose body edit(body, first tensor
+        name) damaged, given a fresh CRC so the damage gets past the check."""
+        net = nw.build(nw.desk_micro(), seed=2)
+        p = tmp_path / "net.ckpt"
+        nw.save(net, p)
+        body = edit(bytearray(p.read_bytes()[:-4]), sorted(net.state_arrays())[0])
+        p.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        return p
+
+    def test_unknown_dtype_code_rejected(self, tmp_path):
+        def edit(body, first):
+            body[body.index(first.encode()) + len(first)] = 7  # dtype code byte
+            return body
+        with pytest.raises(nw.CheckpointError, match="unknown dtype code 7"):
+            nw.load(self._resealed(tmp_path, edit))
+
+    def test_body_shorter_than_headers_claim_rejected(self, tmp_path):
+        with pytest.raises(nw.CheckpointError, match="headers claim"):
+            nw.load(self._resealed(tmp_path, lambda body, _: body[:-100]))
 
     def test_load_into_dynamic_variant_keeps_zero_embeddings(self, tmp_path, rng):
         plain = nw.build(nw.desk_tiny(), seed=3)
