@@ -25,9 +25,14 @@ what the finite-difference checks exercise.
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 
 from .bittensor import DimensionError, broadcast_threshold, im2col
+
+_mode = threading.local()  # per-thread switch set by no_grad
 
 
 def qb_forward(x):
@@ -73,7 +78,8 @@ class Tensor:
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (any(p.requires_grad for p in parents)
+                                               and getattr(_mode, "record", True))
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
 
@@ -106,6 +112,19 @@ class Tensor:
 
     def backward(self):
         backward(self)
+
+
+@contextmanager
+def no_grad():
+    """Inside the block, ops run in this thread build no graph: their
+    outputs require no grad whatever their inputs. Other threads, and the
+    parameters' own flags, are untouched."""
+    prev = getattr(_mode, "record", True)
+    _mode.record = False
+    try:
+        yield
+    finally:
+        _mode.record = prev
 
 
 def param(data, dtype=np.float32):

@@ -15,23 +15,45 @@ Two rules here serve both execution routes, so the float graph and the
 packed kernels cannot drift apart: broadcast_threshold checks and shapes
 binarization thresholds for pack and autograd.binarize, and im2col gathers
 convolution windows for binary_conv2d and autograd.conv2d.
+
+The GEMM behind binary_gemm and binary_conv2d counts mismatches one word
+at a time. Both operands are transposed to word-major copies, and the
+output rows are cut into tiles of about TILE_ELEMS outputs. For each
+word, a tile's activation words are XORed against every filter's word
+into one reused uint64 buffer, popcounted into a uint8 buffer, and added
+into the tile's accumulator. The accumulator is uint16 while the fan-in
+is at most 65,535 bits and int32 beyond, so counts never wrap. Tiles run
+on a module-level thread pool with one worker per usable core. Workers
+run only numpy ufuncs, which release the GIL, on disjoint rows of the
+result, so the counts are exact and do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 WORD_BITS = 64
+TILE_ELEMS = 1 << 16  # outputs per gemm row tile: 512 KB of XOR words, cache-sized
+_USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count() or 1)
+
+
+def _new_pool():
+    global _POOL
+    _POOL = ThreadPoolExecutor(max_workers=_USABLE_CORES, thread_name_prefix="bitcontext-gemm")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # a forked child has none of the workers
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 class DimensionError(ValueError):
     """Shape or length mismatch between binary operands."""
-
-
-def _popcount(words: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(words)
 
 
 def _pack_last_axis(bits: np.ndarray) -> np.ndarray:
@@ -160,26 +182,40 @@ def xnor_dot(a: BitTensor, w: BitTensor) -> int:
         raise DimensionError("word counts differ")
     x = aw ^ ww
     x[-1] &= _tail_mask(a.nbits)  # mask: result independent of padding bits
-    mismatches = int(_popcount(x).sum())
+    mismatches = int(np.bitwise_count(x).sum())
     return a.nbits - 2 * mismatches
 
 
-def _xor_popcount_gemm(a_words: np.ndarray, w_words: np.ndarray, nbits: int,
-                       block_rows: int = 2048) -> np.ndarray:
-    """Mismatch counts between every row pair: (R, W) x (C, W) -> (R, C) int32."""
-    r = a_words.shape[0]
+def _xor_popcount_gemm(a_words: np.ndarray, w_words: np.ndarray, nbits: int) -> np.ndarray:
+    """Mismatch counts between every row pair: (R, W) x (C, W) -> (R, C) int32,
+    by the tiled word loop the module docstring describes."""
+    r, n_words = a_words.shape
     c = w_words.shape[0]
     mask = _tail_mask(nbits)
-    a_words = a_words.copy()
-    w_words = w_words.copy()
-    a_words[:, -1] &= mask
-    w_words[:, -1] &= mask
+    a_t = a_words.T.copy()  # (W, R); copies, so masking never writes the caller's words
+    w_t = w_words.T.copy()  # (W, C)
+    a_t[-1] &= mask
+    w_t[-1] &= mask
+    acc_dtype = np.uint16 if n_words * WORD_BITS <= np.iinfo(np.uint16).max else np.int32
+    tile = max(1, TILE_ELEMS // max(c, 1))
     out = np.empty((r, c), dtype=np.int32)
-    wt = w_words[None, :, :]
-    for lo in range(0, r, block_rows):
-        hi = min(lo + block_rows, r)
-        x = a_words[lo:hi, None, :] ^ wt
-        out[lo:hi] = _popcount(x).sum(axis=-1, dtype=np.int64).astype(np.int32)
+
+    def run_tile(lo):
+        hi = min(lo + tile, r)
+        x = np.empty((hi - lo, c), dtype=np.uint64)
+        ones = np.empty((hi - lo, c), dtype=np.uint8)
+        acc = np.zeros((hi - lo, c), dtype=acc_dtype)
+        for j in range(n_words):
+            np.bitwise_xor(a_t[j, lo:hi, None], w_t[j], out=x)
+            np.bitwise_count(x, out=ones)
+            np.add(acc, ones, out=acc)
+        out[lo:hi] = acc
+
+    starts = range(0, r, tile)
+    if len(starts) == 1:
+        run_tile(0)
+    else:
+        list(_POOL.map(run_tile, starts))  # re-raises a tile's exception
     return out
 
 

@@ -18,7 +18,7 @@ broadcast thresholds with bittensor.broadcast_threshold, and ag.conv2d and
 binary_conv2d gather windows with bittensor.im2col. Dynamic thresholds and
 biases, norm, shortcut, activation, stem and classifier run the same
 autograd ops on both routes. infer_packed(x) is forward on the packed route
-with the layer's parameters set to require no grad, so it builds no graph.
+under ag.no_grad, so it builds no graph.
 Because the binary GEMMs produce exact integers before any float scaling,
 the two routes agree bit for bit in evaluation mode; tests pin that.
 """
@@ -143,17 +143,10 @@ class _Layer:
 
     def infer_packed(self, x: np.ndarray) -> np.ndarray:
         """Evaluation forward on the bit-packed kernels; valid once weights
-        are binarized. Parameters require no grad for the call, so no graph
-        is kept; their flags are restored even when forward raises."""
-        params = list(self._params.values())
-        flags = [p.requires_grad for p in params]
-        for p in params:
-            p.requires_grad = False
-        try:
+        are binarized. It runs under ag.no_grad, so no graph is kept and
+        concurrent callers never touch the parameters' flags."""
+        with ag.no_grad():
             return self.forward(Tensor(x), ForwardState(packed=True)).data
-        finally:
-            for p, flag in zip(params, flags):
-                p.requires_grad = flag
 
     def _weight_scales(self, st: ForwardState, weights):
         """Per-filter scales of the binarized weights, None in real-weight

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -163,10 +164,24 @@ class NetworkSpec:
         return "\n".join(lines)
 
 
+def _hxw(v: str) -> tuple:
+    h, w = v.lower().split("x")
+    return int(h), int(w)
+
+
+def _flag(v: str) -> bool:
+    if v.lower() not in ("true", "false"):
+        raise ValueError(v)
+    return v.lower() == "true"
+
+
+# Each section's keys and the parser of each key's value.
 _SECTION_KEYS = {
-    "network": {"name", "input", "in_channels", "classes"},
-    "layer": {"kind", "out", "stride", "kernel", "dynamic", "branches", "pool"},
+    "network": {"name": str, "input": _hxw, "in_channels": int, "classes": int},
+    "layer": {"kind": str, "out": int, "stride": int, "kernel": int,
+              "dynamic": _flag, "branches": str, "pool": _flag},
 }
+_EXPECTED = {int: "an integer", _hxw: "HxW", _flag: "true or false"}
 # A classifier's width comes from [network] classes, so it needs no "out".
 _REQUIRED_KEYS = {"network": ("input", "classes"), "layer": ("kind", "out")}
 
@@ -182,7 +197,12 @@ def parse_network_spec(text: str) -> NetworkSpec:
         elif key not in _SECTION_KEYS[name]:
             raise SpecError(f"line {ln}: unknown {name} key {key!r}")
         else:
-            sections[-1][2][key] = val
+            kind = _SECTION_KEYS[name][key]
+            try:
+                sections[-1][2][key] = kind(val)
+            except ValueError:
+                raise SpecError(f"line {ln}: {key} = {val!r} is not "
+                                f"{_EXPECTED[kind]}") from None
     net = None
     layers = []
     for ln, name, sec in sections:
@@ -190,10 +210,9 @@ def parse_network_spec(text: str) -> NetworkSpec:
             if key not in sec and not (key == "out" and sec.get("kind") == "classifier"):
                 raise SpecError(f"line {ln}: [{name}] lacks required key {key!r}")
         if name == "network":
-            h, w = (int(v) for v in sec["input"].lower().split("x"))
-            net = NetworkSpec(name=sec.get("name", "unnamed"), input_hw=(h, w),
-                              classes=int(sec["classes"]),
-                              in_channels=int(sec.get("in_channels", 3)))
+            net = NetworkSpec(name=sec.get("name", "unnamed"), input_hw=sec["input"],
+                              classes=sec["classes"],
+                              in_channels=sec.get("in_channels", 3))
         else:
             layers.append(sec)
     if net is None:
@@ -201,14 +220,10 @@ def parse_network_spec(text: str) -> NetworkSpec:
     c = net.in_channels
     for sec in layers:
         kind = sec["kind"]
-        c_out = net.classes if kind == "classifier" else int(sec["out"])
-        ls = LayerSpec(
-            kind=kind, c_in=c, c_out=c_out,
-            stride=int(sec.get("stride", 1)),
-            kernel=int(sec.get("kernel", 3)),
-            dynamic=sec.get("dynamic", "false").lower() == "true",
-            pool=sec.get("pool", "false").lower() == "true",
-        )
+        c_out = net.classes if kind == "classifier" else sec["out"]
+        ls = LayerSpec(kind=kind, c_in=c, c_out=c_out, stride=sec.get("stride", 1),
+                       kernel=sec.get("kernel", 3), dynamic=sec.get("dynamic", False),
+                       pool=sec.get("pool", False))
         if "branches" in sec:
             ls.branches = tuple(b.strip() for b in sec["branches"].split(","))
         net.layers.append(ls)
@@ -281,10 +296,29 @@ class Network:
         return arrays
 
     def load_state_arrays(self, arrays: dict, allow_missing=False):
+        """Copy named tensors into the network's own arrays.
+
+        With allow_missing a network may extend a plain one with dynamic
+        embeddings: its `dyn.*` parameters, inert as built (W2 = W3 = 0),
+        keep their values when absent, and a plain layer's `thr` seeds
+        the `dyn.b_beta` that replaces it, so the network computes what the
+        checkpoint did. Any other missing tensor, and any tensor the
+        network has no place for, raises CheckpointError.
+        """
         own = self.state_arrays()
+        arrays = dict(arrays)
+        if allow_missing:
+            for name in [k for k in arrays if k.endswith(".thr") and k not in own]:
+                beta = name[:-len("thr")] + "dyn.b_beta"
+                if beta in own and beta not in arrays:
+                    arrays[beta] = arrays.pop(name)
+        extra = sorted(set(arrays) - set(own))
+        if extra:
+            raise CheckpointError(f"network has no tensor {extra[0]} "
+                                  f"({len(extra)} checkpoint tensors unplaced)")
         for name, dst in own.items():
             if name not in arrays:
-                if allow_missing:
+                if allow_missing and ".dyn." in name:
                     continue
                 raise CheckpointError(f"checkpoint missing tensor {name}")
             src = arrays[name]
@@ -485,7 +519,8 @@ def spec_hash(spec: NetworkSpec) -> bytes:
 
 
 def save(net: Network, path) -> None:
-    """Serialize parameters, buffers and metadata; see module docstring."""
+    """Serialize parameters, buffers and metadata (see module docstring),
+    replacing path atomically."""
     spec_text = net.spec.to_text().encode()
     meta = json.dumps({"binary_weights": net.binary_weights,
                        "step": net.step}).encode()
@@ -505,9 +540,18 @@ def save(net: Network, path) -> None:
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         payload = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
         out += struct.pack("<Q", len(payload)) + payload
-    out += struct.pack("<I", zlib.crc32(bytes(out)) & 0xFFFFFFFF)
-    with open(path, "wb") as f:
-        f.write(bytes(out))
+    out += struct.pack("<I", zlib.crc32(out) & 0xFFFFFFFF)
+    # Write beside the target, then rename over it: a failed write leaves
+    # the previous checkpoint as it was.
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(out)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path):
@@ -580,8 +624,8 @@ def load_into(net: Network, path, allow_missing=False) -> Network:
     """Load checkpoint tensors into an existing (possibly extended) network.
 
     Used when fine-tuning a dynamic-embedding variant from a plain
-    checkpoint: tensors absent from the file (the zero-initialized embedding
-    parameters) keep their current values when allow_missing is set.
+    checkpoint: with allow_missing set, the embedding parameters absent
+    from the file keep their current values (see load_state_arrays).
     """
     _, meta, arrays = read_checkpoint(path)
     net.load_state_arrays(arrays, allow_missing=allow_missing)

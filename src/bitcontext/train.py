@@ -20,6 +20,11 @@ from . import network as nw
 from .data import Dataset, augment_batch
 
 
+class DivergenceError(ValueError):
+    """Training diverged: the loss, or the gradients' second moments, are
+    no longer finite. The iteration that shows it applies no update."""
+
+
 @dataclass
 class TrainConfig:
     step: int = 1
@@ -79,6 +84,27 @@ class AdamW:
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
 
+    def overflows(self) -> bool:
+        """True when the next step's bias-corrected second-moment estimate
+        would not be finite: a gradient is non-finite or too large."""
+        b2c = 1.0 - self.beta2 ** (self.t + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, p in self.params.items():
+                if p.grad is None:
+                    continue
+                g, v = p.grad, self.v[k]
+                # The new v is a convex mix of v and g * g, so it and every
+                # intermediate are at most max(v, g * g), up to rounding the
+                # halved limit absorbs; a float sum of squares is no less
+                # than its largest term.
+                bound = max(float(v.max()), float(np.vdot(g, g)))
+                if bound / b2c < 0.5 * float(np.finfo(v.dtype).max):
+                    continue
+                v_hat = (self.beta2 * v + (1.0 - self.beta2) * (g * g)) / b2c
+                if not np.isfinite(v_hat).all():
+                    return True
+        return False
+
     def step(self, lr: float):
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
@@ -119,7 +145,9 @@ def _batch_iter(n: int, batch_size: int, iterations: int, rng):
 
 
 def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
-    """One optimization phase; the step number selects the weight mode."""
+    """One optimization phase; the step number selects the weight mode.
+    A non-finite loss, or gradients whose second moments overflow, raise
+    DivergenceError before that iteration's update is applied."""
     cfg.validate()
     net.binary_weights = cfg.step == 2
     net.step = cfg.step
@@ -139,11 +167,19 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
             soft = ag.cross_entropy(logits, p / p.sum(axis=1, keepdims=True))
             obj = ag.add(ag.scale_by(obj, 1.0 - cfg.kd_weight),
                          ag.scale_by(soft, cfg.kd_weight))
+        value = float(obj.data)
+        if not math.isfinite(value):
+            raise DivergenceError(f"training diverged: step {cfg.step} iteration {it} "
+                                  f"has loss {value}")
         net.zero_grad()
         obj.backward()
+        if opt.overflows():
+            raise DivergenceError(f"training diverged: step {cfg.step} iteration {it} "
+                                  f"has loss {value:.6g} and gradients whose "
+                                  "second moments overflow")
         lr = cosine_lr(it, cfg.iterations, cfg.lr)
         opt.step(lr)
-        result.loss_history.append(float(obj.data))
+        result.loss_history.append(value)
     result.final_lr = lr
     return result
 

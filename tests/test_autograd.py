@@ -226,6 +226,35 @@ class TestBackward:
         assert picked == 10
 
 
+class TestNoGrad:
+    def test_records_nothing_in_this_thread_only(self, rng):
+        import threading
+
+        w = ag.param(rng.normal(size=(4, 3)), dtype=np.float64)
+        x = ag.Tensor(rng.normal(size=(2, 4)))
+        seen = {}
+        inside = threading.Event()
+        done = threading.Event()
+
+        def other():
+            inside.wait(timeout=30)
+            seen["other"] = ag.linear(x, w).requires_grad
+            done.set()
+
+        t = threading.Thread(target=other)
+        t.start()
+        with pytest.raises(RuntimeError):
+            with ag.no_grad():
+                y = ag.linear(x, w)
+                inside.set()
+                assert done.wait(timeout=30)
+                raise RuntimeError("leave the block by an error")
+        t.join(timeout=30)
+        assert not t.is_alive() and seen["other"]
+        assert not y.requires_grad and y._parents == () and w.requires_grad
+        assert ag.linear(x, w).requires_grad  # restored after the error
+
+
 class TestOps:
     def test_avgpool2_backward(self, rng):
         x = ag.param(rng.normal(size=(1, 2, 4, 4)), dtype=np.float64)

@@ -1,3 +1,6 @@
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,19 +156,112 @@ class TestBinaryGemm:
             bt.binary_gemm(a, w, np.ones(3, np.float32))
 
     def test_padding_bit_independence(self, rng):
-        """Flipping garbage into padding bits must not change results."""
-        a = bt.pack(rng.choice([-1.0, 1.0], size=(2, 70)))
-        w = bt.pack(rng.choice([-1.0, 1.0], size=(3, 70)))
-        s = np.ones(3, np.float32)
-        clean = bt.binary_gemm(a, w, s)
-        dirty = a.copy()
-        dirty.words[:, -1] |= np.uint64(0xFFFF) << np.uint64(48)
-        assert not dirty.padding_is_clean()
-        assert np.array_equal(bt.binary_gemm(dirty, w, s), clean)
-        assert bt.xnor_dot(
-            bt.BitTensor((70,), dirty.words[0], 70),
-            bt.BitTensor((70,), w.words[1], 70),
-        ) == int(bt.unpack(a)[0] @ bt.unpack(w)[1])
+        """Garbage in both operands' padding bits must not change results,
+        and the kernel must not clean it out of the callers' words."""
+        for k in (37, 63, 70, 130):  # W == 1 twice, then 2 and 3 words
+            a = bt.pack(rng.choice([-1.0, 1.0], size=(2, k)))
+            w = bt.pack(rng.choice([-1.0, 1.0], size=(3, k)))
+            s = np.ones(3, np.float32)
+            clean = bt.binary_gemm(a, w, s)
+            dirty_a, dirty_w = a.copy(), w.copy()
+            padding = ~bt._tail_mask(k)
+            dirty_a.words[:, -1] |= padding
+            dirty_w.words[:, -1] |= padding & np.uint64(0xAAAAAAAAAAAAAAAA)
+            assert not dirty_a.padding_is_clean()
+            before = dirty_a.words.copy(), dirty_w.words.copy()
+            assert np.array_equal(bt.binary_gemm(dirty_a, dirty_w, s), clean)
+            assert np.array_equal(dirty_a.words, before[0])
+            assert np.array_equal(dirty_w.words, before[1])
+            assert bt.xnor_dot(
+                bt.BitTensor((k,), dirty_a.words[0], k),
+                bt.BitTensor((k,), dirty_w.words[1], k),
+            ) == int(bt.unpack(a)[0] @ bt.unpack(w)[1])
+
+    @staticmethod
+    def _mismatch_reference(a_words, w_words, nbits):
+        """Unpack every row to its valid bits and count differing positions."""
+        def bits(words):
+            as_bytes = np.ascontiguousarray(words).view(np.uint8)
+            return np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :nbits]
+        a, w = bits(a_words), bits(w_words)
+        return np.array([[int(np.count_nonzero(ra != rw)) for rw in w] for ra in a])
+
+    @pytest.mark.parametrize("rows,cols,nbits,dirty", [
+        (2 * (bt.TILE_ELEMS // 64) + 7, 64, 130, False),  # ragged last tile
+        (5, 64, 130, True),                               # fewer rows than a tile
+        (3, bt.TILE_ELEMS + 3, 70, True),                 # tile height 1
+        (9, 5, 37, True),                                 # W == 1
+        (10, 7, 64, False),                               # W == 1, no padding
+        (3, 4, 65_600, False),                            # 1,025 words: int32 accumulator
+    ])
+    def test_xor_popcount_gemm_matches_unpacked_reference(self, rows, cols, nbits,
+                                                          dirty, rng):
+        n_words = -(-nbits // 64)
+        a = rng.integers(0, 1 << 63, size=(rows, n_words), dtype=np.uint64)
+        a |= rng.integers(0, 2, size=(rows, n_words), dtype=np.uint64) << np.uint64(63)
+        w = rng.integers(0, 1 << 63, size=(cols, n_words), dtype=np.uint64)
+        w[0] = ~a[0]  # every bit differs: past 65,535 bits a uint16 count wraps
+        if not dirty and nbits % 64:
+            mask = np.uint64((1 << nbits % 64) - 1)
+            a[:, -1] &= mask
+            w[:, -1] &= mask
+        a_view = a[:, :]  # the kernel gets views, as MLP branches pass them
+        before = a.copy(), w.copy()
+        got = bt._xor_popcount_gemm(a_view, w, nbits)
+        assert got.dtype == np.int32 and got.shape == (rows, cols)
+        assert got[0, 0] == nbits
+        assert np.array_equal(got, self._mismatch_reference(a, w, nbits))
+        assert np.array_equal(a, before[0]) and np.array_equal(w, before[1])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_pool(self, rng):
+        """A child forked after the pool ran has none of its workers; a
+        multi-tile call there must still finish with the parent's counts."""
+        a = rng.integers(0, 1 << 63, size=(3 * (bt.TILE_ELEMS // 64), 2), dtype=np.uint64)
+        w = rng.integers(0, 1 << 63, size=(64, 2), dtype=np.uint64)
+        expected = bt._xor_popcount_gemm(a, w, 128)
+        pid = os.fork()
+        if pid == 0:  # child: exit 0 only on a finished, equal result
+            signal.alarm(20)
+            os._exit(0 if np.array_equal(bt._xor_popcount_gemm(a, w, 128), expected) else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_concurrent_forward_packed_matches_sequential(self, rng):
+        """More caller threads than cores share the kernel pool, switching
+        often; each gets the sequential logits, and every parameter still
+        requires grad afterwards."""
+        import sys
+        import threading
+
+        from bitcontext import network as nw
+        net = nw.build(nw.desk_micro(), seed=5)
+        x = rng.normal(size=(160, 1, 16, 16)).astype(np.float32)  # multi-tile rows
+        expected = net.forward_packed(x)
+        n_threads = bt._USABLE_CORES + 2
+        barrier = threading.Barrier(n_threads, timeout=60)
+        results = [None] * n_threads
+
+        def worker(i):
+            barrier.wait()
+            results[i] = [net.forward_packed(x) for _ in range(2)]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results:
+            assert got is not None
+            for logits in got:
+                assert np.array_equal(logits, expected)
+        assert all(p.requires_grad for p in net.params().values())
 
 
 class TestBinaryConv2d:

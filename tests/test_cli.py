@@ -196,6 +196,12 @@ class TestErrors:
         assert run(["count-ops", "--set", "network.spec_file=net.spec"]) == 2
         assert f"lacks required key '{key}'" in capsys.readouterr().err
 
+    def test_diverged_training_is_runtime_error(self, workdir, capsys):
+        assert run(["train", "--config", "run.cfg", "--output", "ck.bin",
+                    "--set", "train.lr=1e4"]) == 2
+        assert "diverged: step 1 iteration 1" in capsys.readouterr().err
+        assert not os.path.exists("ck.bin")
+
     def test_dataset_root_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("BITCONTEXT_DATA", str(tmp_path / "envdata"))

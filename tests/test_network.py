@@ -116,6 +116,24 @@ class TestSpecs:
         with pytest.raises(nw.SpecError, match=f"line {line}: .* '{key}'"):
             nw.parse_network_spec(text)
 
+    @pytest.mark.parametrize("bad,line", [
+        ("input = 32", 3),
+        ("classes = three", 4),
+        ("dynamic = maybe", 7),
+        ("pool = yes", 7),
+    ])
+    def test_malformed_value_names_its_line(self, bad, line):
+        key = bad.split(" = ")[0]
+        text = ("# spec\n[network]\ninput = 8x8\nclasses = 3\n[layer]\n"
+                "kind = stem-conv\nout = 8\n[layer]\nkind = classifier\n")
+        lines = text.splitlines()
+        if key in ("input", "classes"):
+            lines[line - 1] = bad
+        else:
+            lines.insert(line - 1, bad)
+        with pytest.raises(nw.SpecError, match=f"line {line}: {key} = '"):
+            nw.parse_network_spec("\n".join(lines))
+
     @pytest.mark.parametrize("ls", [
         nw.LayerSpec("binary-conv-3x3", 8, 8, pool=True),
         nw.LayerSpec("binary-mlp", 8, 8, stride=2)])
@@ -361,6 +379,38 @@ class TestPersistence:
         with pytest.raises(nw.CheckpointError, match="headers claim"):
             nw.load(self._resealed(tmp_path, lambda body, _: body[:-100]))
 
+    def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch, rng):
+        net = nw.build(nw.desk_micro(), seed=2)
+        p = tmp_path / "net.ckpt"
+        nw.save(net, p)
+        saved = p.read_bytes()
+        real_open = open
+
+        class HalfWritten:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(bytes(data)[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(nw, "open", lambda *a, **k: HalfWritten(real_open(*a, **k)),
+                            raising=False)
+        other = nw.build(nw.desk_micro(), seed=3)
+        with pytest.raises(OSError, match="No space"):
+            nw.save(other, p)
+        monkeypatch.undo()
+        assert p.read_bytes() == saved
+        assert sorted(os.listdir(tmp_path)) == ["net.ckpt"]
+        x = rng.normal(size=(2, 1, 16, 16)).astype(np.float32)
+        assert np.array_equal(nw.load(p).forward(x).data, net.forward(x).data)
+
     def test_load_into_dynamic_variant_keeps_zero_embeddings(self, tmp_path, rng):
         plain = nw.build(nw.desk_tiny(), seed=3)
         p = tmp_path / "plain.ckpt"
@@ -377,3 +427,33 @@ class TestPersistence:
         dyn = nw.build(nw.desk_tiny(dynamic=True), seed=77)
         with pytest.raises(nw.CheckpointError):
             nw.load_into(dyn, p, allow_missing=False)
+
+    def test_load_into_dynamic_variant_seeds_thresholds(self, tmp_path, rng):
+        """A plain layer's trained thr becomes the dynamic layer's b_beta, so
+        the fine-tune starts from the checkpoint's function."""
+        plain = nw.build(nw.desk_tiny(), seed=3)
+        for name, p in plain.params().items():
+            if name.endswith(".thr"):
+                p.data[...] = rng.normal(scale=0.3, size=p.data.shape)
+        p = tmp_path / "plain.ckpt"
+        nw.save(plain, p)
+        dyn = nw.build(nw.desk_tiny(dynamic=True), seed=77)
+        nw.load_into(dyn, p, allow_missing=True)
+        x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
+        assert np.array_equal(dyn.forward(x).data, plain.forward(x).data)
+        assert np.array_equal(dyn.forward_packed(x), plain.forward_packed(x))
+
+    def test_load_into_plain_from_dynamic_rejected(self, tmp_path):
+        dyn = nw.build(nw.desk_tiny(dynamic=True), seed=3)
+        p = tmp_path / "dyn.ckpt"
+        nw.save(dyn, p)
+        plain = nw.build(nw.desk_tiny(), seed=3)
+        with pytest.raises(nw.CheckpointError, match="network has no tensor p.L.*dyn"):
+            nw.load_into(plain, p, allow_missing=True)
+
+    def test_load_into_missing_non_embedding_tensor_rejected(self, tmp_path):
+        net = nw.build(nw.desk_tiny(), seed=3)
+        arrays = net.state_arrays()
+        arrays.pop("p.L02.thr")
+        with pytest.raises(nw.CheckpointError, match="missing tensor p.L02.thr"):
+            net.load_state_arrays(arrays, allow_missing=True)

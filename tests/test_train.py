@@ -142,6 +142,39 @@ class TestTrainStep:
         with pytest.raises(ValueError):
             tr.train_step2(net, None, micro_data, tr.TrainConfig(step=1))
 
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_divergence_stops_before_the_update(self, step, micro_data):
+        """At lr=1e4 the first update blows the loss up to ~1e25 and the next
+        gradients' second moments overflow float32; the run stops there with
+        the parameters the one completed iteration left."""
+        def run(iterations):
+            net = nw.build(nw.desk_micro(), seed=0)
+            cfg = tr.TrainConfig(step=step, iterations=iterations, batch_size=64,
+                                 lr=1e4, seed=0)
+            return net, tr.train_step(net, micro_data, cfg)
+        one, res = run(1)
+        assert np.isfinite(res.loss_history).all()
+        with pytest.raises(tr.DivergenceError, match=f"step {step} iteration 1 "
+                           r"has loss \d.*e\+\d+ and gradients") as err:
+            run(40)
+        assert isinstance(err.value, ValueError)
+        net = nw.build(nw.desk_micro(), seed=0)
+        with pytest.raises(tr.DivergenceError):
+            tr.train_step(net, micro_data, tr.TrainConfig(
+                step=step, iterations=40, batch_size=64, lr=1e4, seed=0))
+        for k, p in one.params().items():
+            assert np.array_equal(p.data, net.params()[k].data), k
+
+    def test_non_finite_loss_raises_before_any_update(self, micro_data):
+        net = nw.build(nw.desk_micro(), seed=0)
+        net.params()["L05.b"].data[0] = np.nan
+        before = {k: p.data.copy() for k, p in net.params().items()}
+        cfg = tr.TrainConfig(step=1, iterations=3, batch_size=32, lr=1e-3, seed=0)
+        with pytest.raises(tr.DivergenceError, match="iteration 0 has loss nan"):
+            tr.train_step(net, micro_data, cfg)
+        for k, v in before.items():
+            assert np.array_equal(v, net.params()[k].data, equal_nan=True), k
+
     def test_distillation_hook_changes_gradient_flow(self, micro_data):
         teacher = np.zeros((len(micro_data), 10), dtype=np.float32)
         teacher[np.arange(len(micro_data)), micro_data.y] = 4.0
