@@ -5,11 +5,21 @@ convention value <= threshold -> -1 (so exact zeros under a zero threshold
 binarize to -1). Bits are packed 64 per machine word along a single axis,
 LSB-first within each word: logical index i lives in word i // 64 at bit
 position i % 64. Padding bits past the logical extent are kept at zero and
-kernels mask the final word, so results never depend on padding content.
+kernels mask the tail words, so results never depend on padding content.
 
 Layouts:
-  2-D (rows, cols)   -> words shape (rows, W), packed along cols
-  4-D (n, c, h, w)   -> words shape (n, h, w, W), packed along channels
+  2-D (rows, cols)          -> words shape (rows, W), packed along cols
+  4-D (n, c, h, w)          -> words shape (n, h, w, W), packed along channels
+  filters (c_out, c, k, k)  -> words shape (c_out, k, k, W), packed along
+                               input channels exactly like an activation
+
+binary_conv2d stays in the word domain. It gathers k x k windows of the
+activation's channel words, and lays out the filter words the same way:
+word-major, then kernel row, then kernel column. Each GEMM row is then
+k*k channel vectors of W words, and BitTensor.vectors = k*k tells the
+GEMM to mask the tail word of every vector (the last k*k words of a row)
+rather than only the last word. Padding pixels are all-zero words, i.e.
+all -1, the same pad rule the float route uses.
 
 Two rules here serve both execution routes, so the float graph and the
 packed kernels cannot drift apart: broadcast_threshold checks and shapes
@@ -57,8 +67,10 @@ class DimensionError(ValueError):
 
 
 def _pack_last_axis(bits: np.ndarray) -> np.ndarray:
-    """Pack a (..., n) array of 0/1 values into (..., ceil(n/64)) uint64."""
-    packed_bytes = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
+    """Pack a (..., n) bool array into (..., ceil(n/64)) uint64."""
+    # packbits over a strided last axis (a transposed channel axis) is ~4x
+    # slower than a C-contiguous copy followed by packbits.
+    packed_bytes = np.packbits(np.ascontiguousarray(bits), axis=-1, bitorder="little")
     n_bytes = packed_bytes.shape[-1]
     word_bytes = 8 * ((n_bytes + 7) // 8)
     if word_bytes != n_bytes:
@@ -87,12 +99,16 @@ class BitTensor:
 
     shape is the logical extent; words holds the packed bits (see module
     docstring for the axis mapping); nbits is the number of valid bits along
-    the packed axis.
+    the packed axis. vectors is set only by binary_conv2d for its window
+    rows: each row then concatenates that many channel vectors of
+    nbits // vectors bits, word-major, and the last `vectors` words are the
+    vectors' tail words.
     """
 
     shape: tuple
     words: np.ndarray
     nbits: int
+    vectors: int = 1
 
     def __post_init__(self):
         self.shape = tuple(int(s) for s in self.shape)
@@ -106,14 +122,14 @@ class BitTensor:
 
     def padding_is_clean(self) -> bool:
         """True when every bit past nbits is zero (constructor guarantee)."""
-        mask = _tail_mask(self.nbits)
+        mask = _tail_mask(self.nbits // self.vectors)
         if mask == np.uint64(0xFFFFFFFFFFFFFFFF):
             return True
-        tail = self.words[..., -1]
+        tail = self.words[..., -self.vectors:]
         return bool(np.all(tail & ~mask == 0))
 
     def copy(self) -> "BitTensor":
-        return BitTensor(self.shape, self.words.copy(), self.nbits)
+        return BitTensor(self.shape, self.words.copy(), self.nbits, self.vectors)
 
 
 def broadcast_threshold(t: np.ndarray, shape: tuple) -> np.ndarray:
@@ -163,11 +179,6 @@ def unpack(b: BitTensor) -> np.ndarray:
     return out.reshape(b.shape)
 
 
-def pack_bits(bits: np.ndarray) -> BitTensor:
-    """Pack an explicit 0/1 array along its last axis (no thresholding)."""
-    return BitTensor(bits.shape, _pack_last_axis(bits), bits.shape[-1])
-
-
 def xnor_dot(a: BitTensor, w: BitTensor) -> int:
     """Integer dot product of two packed sign vectors.
 
@@ -186,16 +197,19 @@ def xnor_dot(a: BitTensor, w: BitTensor) -> int:
     return a.nbits - 2 * mismatches
 
 
-def _xor_popcount_gemm(a_words: np.ndarray, w_words: np.ndarray, nbits: int) -> np.ndarray:
+def _xor_popcount_gemm(a_words: np.ndarray, w_words: np.ndarray, nbits: int,
+                       vectors: int = 1) -> np.ndarray:
     """Mismatch counts between every row pair: (R, W) x (C, W) -> (R, C) int32,
-    by the tiled word loop the module docstring describes."""
+    by the tiled word loop the module docstring describes. Each row holds
+    `vectors` word-major vectors of nbits // vectors bits, so the last
+    `vectors` words are the ones masked."""
     r, n_words = a_words.shape
     c = w_words.shape[0]
-    mask = _tail_mask(nbits)
+    mask = _tail_mask(nbits // vectors)
     a_t = a_words.T.copy()  # (W, R); copies, so masking never writes the caller's words
     w_t = w_words.T.copy()  # (W, C)
-    a_t[-1] &= mask
-    w_t[-1] &= mask
+    a_t[-vectors:] &= mask
+    w_t[-vectors:] &= mask
     acc_dtype = np.uint16 if n_words * WORD_BITS <= np.iinfo(np.uint16).max else np.int32
     tile = max(1, TILE_ELEMS // max(c, 1))
     out = np.empty((r, c), dtype=np.int32)
@@ -230,8 +244,9 @@ def binary_gemm(a: BitTensor, w: BitTensor, scale: np.ndarray) -> np.ndarray:
     """
     if len(a.shape) != 2 or len(w.shape) != 2:
         raise DimensionError("binary_gemm expects 2-D operands")
-    if a.nbits != w.nbits:
-        raise DimensionError(f"inner dimensions differ: {a.nbits} vs {w.nbits}")
+    if a.nbits != w.nbits or a.vectors != w.vectors:
+        raise DimensionError(f"inner dimensions differ: {a.nbits} bits in {a.vectors} "
+                             f"vectors vs {w.nbits} in {w.vectors}")
     scale = np.asarray(scale)
     if scale.dtype.kind != "f":
         scale = scale.astype(np.float32)
@@ -240,7 +255,8 @@ def binary_gemm(a: BitTensor, w: BitTensor, scale: np.ndarray) -> np.ndarray:
             f"scale length {scale.shape} != output columns {w.shape[0]}"
         )
     mismatches = _xor_popcount_gemm(
-        a.words.reshape(a.shape[0], -1), w.words.reshape(w.shape[0], -1), a.nbits
+        a.words.reshape(a.shape[0], -1), w.words.reshape(w.shape[0], -1), a.nbits,
+        a.vectors,
     )
     dots = (a.nbits - 2 * mismatches).astype(scale.dtype)
     return dots * scale[None, :]
@@ -252,7 +268,7 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int, pad_value=0):
     output position; padding pixels take pad_value. Returns (cols, oh, ow).
 
     Both routes gather windows here: autograd.conv2d on float values and
-    binary_conv2d on 0/1 bits, where padding 0 is -1 in the sign domain.
+    binary_conv2d on channel words, where padding 0 is an all -1 pixel.
     """
     n, c, h, w = x.shape
     if pad:
@@ -269,29 +285,28 @@ def im2col(x: np.ndarray, k: int, stride: int, pad: int, pad_value=0):
 
 def binary_conv2d(a: BitTensor, w: BitTensor, scale: np.ndarray,
                   stride: int = 1, pad: int = 0) -> np.ndarray:
-    """Binary 2-D convolution via im2col + binary_gemm.
+    """Binary 2-D convolution on packed words: window gather + binary_gemm.
 
-    a is a packed NCHW activation; w holds c_out filters as packed rows of
-    length c_in*k*k (channel-major, then kernel row, then kernel column).
-    Padding pixels enter as -1. Returns float32 (n, c_out, oh, ow).
+    a is a packed NCHW activation and w a packed (c_out, c_in, k, k) filter
+    bank (pack_filters). Windows are gathered as whole channel words; the
+    module docstring gives the row layout. Padding pixels enter as -1.
+    Returns float32 (n, c_out, oh, ow).
     """
-    if len(a.shape) != 4:
-        raise DimensionError("binary_conv2d expects a packed NCHW activation")
+    if len(a.shape) != 4 or len(w.shape) != 4:
+        raise DimensionError("binary_conv2d expects a packed NCHW activation "
+                             "and a packed (c_out, c_in, k, k) filter bank")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
-    n, c, h, w_in = a.shape
-    c_out = w.shape[0]
-    fan_in = w.nbits
-    k2 = fan_in // c
-    k = int(round(k2 ** 0.5))
-    if c * k * k != fan_in:
-        raise DimensionError(
-            f"filter fan-in {fan_in} is not c_in*k*k for c_in={c}"
-        )
-    bits = _unpack_last_axis(a.words, a.nbits).transpose(0, 3, 1, 2)  # (n,c,h,w)
-    cols, oh, ow = im2col(bits, k, stride, pad)
-    a_rows = pack_bits(cols)
-    out = binary_gemm(a_rows, w, scale)  # (n*oh*ow, c_out)
+    n, c = a.shape[:2]
+    c_out, c_w, k, k_w = w.shape
+    if c_w != c or k_w != k:
+        raise DimensionError(f"filters {w.shape} do not fit {c} input channels")
+    fan_in = c * k * k
+    cols, oh, ow = im2col(a.words.transpose(0, 3, 1, 2), k, stride, pad)
+    rows = BitTensor((cols.shape[0], fan_in), cols, fan_in, vectors=k * k)
+    filters = BitTensor((c_out, fan_in), w.words.transpose(0, 3, 1, 2).reshape(c_out, -1),
+                        fan_in, vectors=k * k)
+    out = binary_gemm(rows, filters, scale)  # (n*oh*ow, c_out)
     return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
 
@@ -306,6 +321,9 @@ def weight_scale(w: np.ndarray) -> np.ndarray:
 
 
 def pack_filters(w: np.ndarray, threshold=0.0) -> BitTensor:
-    """Pack a (c_out, c_in, k, k) or (c_out, fan_in) filter bank row-wise."""
+    """Pack a filter bank with pack: a (c_out, c_in, k, k) bank along input
+    channels like an NCHW activation, a (c_out, fan_in) bank row-wise."""
     w = np.asarray(w)
-    return pack(w.reshape(w.shape[0], -1), threshold)
+    if w.ndim not in (2, 4):
+        raise DimensionError(f"filter bank must be 2-D or 4-D, got shape {w.shape}")
+    return pack(w, threshold)

@@ -144,10 +144,16 @@ def _batch_iter(n: int, batch_size: int, iterations: int, rng):
         pos += batch_size
 
 
+def _copy_arrays(dst: list, src: list):
+    for d, s in zip(dst, src):
+        d[...] = s
+
+
 def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
     """One optimization phase; the step number selects the weight mode.
     A non-finite loss, or gradients whose second moments overflow, raise
-    DivergenceError before that iteration's update is applied."""
+    DivergenceError before that iteration's update is applied, with the
+    batch-norm running statistics restored to their values before it."""
     cfg.validate()
     net.binary_weights = cfg.step == 2
     net.step = cfg.step
@@ -155,10 +161,13 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
     opt = AdamW(net.params(), weight_decay=cfg.weight_decay)
     result = TrainResult()
     lr = cfg.lr
+    buffers = list(net.buffers().values())
+    stats = [b.copy() for b in buffers]  # restored if an iteration diverges
     for it, idx in enumerate(_batch_iter(len(data), cfg.batch_size,
                                          cfg.iterations, rng)):
         xb = augment_batch(data.x[idx], cfg.augment, rng)
         yb = data.y[idx]
+        _copy_arrays(stats, buffers)
         logits = net.forward(xb, training=True)
         obj = ag.cross_entropy(logits, yb, cfg.smoothing)
         if cfg.teacher_logits is not None and cfg.kd_weight > 0.0:
@@ -169,11 +178,13 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
                          ag.scale_by(soft, cfg.kd_weight))
         value = float(obj.data)
         if not math.isfinite(value):
+            _copy_arrays(buffers, stats)
             raise DivergenceError(f"training diverged: step {cfg.step} iteration {it} "
                                   f"has loss {value}")
         net.zero_grad()
         obj.backward()
         if opt.overflows():
+            _copy_arrays(buffers, stats)
             raise DivergenceError(f"training diverged: step {cfg.step} iteration {it} "
                                   f"has loss {value:.6g} and gradients whose "
                                   "second moments overflow")
@@ -216,7 +227,8 @@ def evaluate(net: nw.Network, data: Dataset, batch_size: int = 256,
         if packed:
             logits = net.forward_packed(xb)
         else:
-            logits = net.forward(xb, training=False).data
+            with ag.no_grad():
+                logits = net.forward(xb, training=False).data
         pred = logits.argmax(axis=1)
         correct1 += int((pred == yb).sum())
         top5 = np.argpartition(-logits, k5 - 1, axis=1)[:, :k5]

@@ -70,19 +70,21 @@ class TestPack:
 
 class TestUnpack:
     def test_encoding(self):
-        b = bt.pack_bits(np.array([1, 0, 1], dtype=np.uint8))
+        b = bt.pack(np.array([1.0, -1.0, 1.0]))
+        assert b.words.tolist() == [0b101]
         assert np.array_equal(bt.unpack(b), [1.0, -1.0, 1.0])
 
     def test_full_word_of_ones(self):
-        b = bt.pack_bits(np.ones(64, dtype=np.uint8))
+        b = bt.pack(np.ones(64))
         assert b.n_words == 1
         assert np.all(bt.unpack(b) == 1.0)
 
     @given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_roundtrip_random_patterns(self, n, seed):
-        bits = np.random.default_rng(seed).integers(0, 2, size=n).astype(np.uint8)
-        b = bt.pack_bits(bits)
+        bits = np.random.default_rng(seed).integers(0, 2, size=n)
+        b = bt.pack(2.0 * bits - 1.0)
+        assert np.array_equal(bt.unpack(b), 2.0 * bits - 1.0)
         again = bt.pack(bt.unpack(b), 0.0)
         assert np.array_equal(again.words, b.words)
         assert again.nbits == b.nbits
@@ -271,7 +273,7 @@ class TestBinaryConv2d:
         s = rng.uniform(0.2, 1.5, size=4).astype(np.float32)
         out = bt.binary_conv2d(bt.pack(a), bt.pack_filters(w), s)
         rows = a.transpose(0, 2, 3, 1).reshape(-1, 8)
-        ref = bt.binary_gemm(bt.pack(rows), bt.pack_filters(w), s)
+        ref = bt.binary_gemm(bt.pack(rows), bt.pack_filters(w.reshape(4, 8)), s)
         ref = ref.reshape(2, 3, 3, 4).transpose(0, 3, 1, 2)
         assert np.array_equal(out, ref)
 
@@ -305,6 +307,48 @@ class TestBinaryConv2d:
         w = bt.pack_filters(rng.choice([-1.0, 1.0], size=(2, 4, 3, 3)))
         with pytest.raises(ValueError):
             bt.binary_conv2d(a, w, np.ones(2, np.float32), stride=0)
+
+    @pytest.mark.parametrize("w_shape", [(2, 36), (2, 5, 3, 3), (2, 4, 3, 1)])
+    def test_filter_bank_must_fit_activation(self, w_shape, rng):
+        a = bt.pack(rng.choice([-1.0, 1.0], size=(1, 4, 4, 4)))
+        w = bt.pack_filters(rng.choice([-1.0, 1.0], size=w_shape))
+        with pytest.raises(bt.DimensionError):
+            bt.binary_conv2d(a, w, np.ones(2, np.float32))
+
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("c", [1, 3, 36, 64, 70, 130])
+    def test_padding_bit_independence(self, c, k, stride, pad, rng):
+        a = rng.choice([-1.0, 1.0], size=(2, c, 5, 5)).astype(np.float32)
+        w = rng.choice([-1.0, 1.0], size=(3, c, k, k)).astype(np.float32)
+        s = rng.uniform(0.1, 1.0, size=3).astype(np.float32)
+        pa, pw = bt.pack(a), bt.pack_filters(w)
+        padding = ~bt._tail_mask(c)
+        pa.words[..., -1] |= padding
+        pw.words[..., -1] |= padding & rng.integers(0, 2 ** 63, size=pw.words.shape[:-1],
+                                                     dtype=np.uint64)
+        before = pa.words.copy(), pw.words.copy()
+        out = bt.binary_conv2d(pa, pw, s, stride=stride, pad=pad)
+        assert np.array_equal(out.astype(np.float64),
+                              dense_conv_oracle(a, w, s, stride, pad))
+        assert np.array_equal(pa.words, before[0])
+        assert np.array_equal(pw.words, before[1])
+
+
+class TestPackFilters:
+    @pytest.mark.parametrize("c,k", [(1, 1), (3, 3), (36, 3), (64, 1), (70, 3), (130, 3)])
+    def test_4d_bank_packs_like_an_activation_and_round_trips(self, c, k, rng):
+        w = rng.normal(size=(5, c, k, k)).astype(np.float32)
+        b = bt.pack_filters(w)
+        assert b.shape == w.shape and b.nbits == c
+        assert b.words.shape == (5, k, k, -(-c // 64))
+        assert b.padding_is_clean()
+        assert np.array_equal(bt.unpack(b), binarize_oracle(w))
+
+    def test_other_ranks_rejected(self):
+        with pytest.raises(bt.DimensionError):
+            bt.pack_filters(np.ones((2, 3, 4)))
 
 
 class TestWeightScale:

@@ -8,6 +8,7 @@ targets in about a second.
 """
 
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,3 +60,24 @@ def test_every_target_records_spans_and_uninstall_restores():
     assert missing == set()
     assert [getattr(owner, attr) for owner, attr, _, _ in targets] == before
     assert all("forward" not in vars(layer) for layer in net.layers)
+
+
+def test_traced_gemm_bits_equal_the_cost_model():
+    """binary_gemm's useful bits are the cost model's BOPs, and its
+    popcounted bits the BOPs with every binary layer's input channels
+    padded to whole words, so gbop_per_s and pad_bit_frac stay exact."""
+    tracing = _tracing()
+    spec = nw.desk_tiny()
+    net = nw.build(spec, seed=0)
+    x = np.random.default_rng(0).standard_normal((1, 3, 32, 32)).astype(np.float32)
+    tracer = tracing.Tracer()
+    tracer.install(bitcontext, net, [r.name for r in cm.count_network(spec).rows])
+    try:
+        net.forward_packed(x)
+    finally:
+        tracer.uninstall()
+    gemm = tracing.summarize(tracer.spans)["bittensor.binary_gemm"]
+    word_padded = replace(spec, layers=[replace(ls, c_in=-(-ls.c_in // 64) * 64)
+                                        for ls in spec.layers])
+    assert gemm["bits"] == cm.count_network(spec).bops
+    assert gemm["popcounted_bits"] == cm.count_network(word_padded).bops

@@ -164,16 +164,21 @@ class TestTrainStep:
                 step=step, iterations=40, batch_size=64, lr=1e4, seed=0))
         for k, p in one.params().items():
             assert np.array_equal(p.data, net.params()[k].data), k
+        for k, b in one.buffers().items():
+            assert np.array_equal(b, net.buffers()[k]), k
 
     def test_non_finite_loss_raises_before_any_update(self, micro_data):
         net = nw.build(nw.desk_micro(), seed=0)
         net.params()["L05.b"].data[0] = np.nan
         before = {k: p.data.copy() for k, p in net.params().items()}
+        stats = {k: b.copy() for k, b in net.buffers().items()}
         cfg = tr.TrainConfig(step=1, iterations=3, batch_size=32, lr=1e-3, seed=0)
         with pytest.raises(tr.DivergenceError, match="iteration 0 has loss nan"):
             tr.train_step(net, micro_data, cfg)
         for k, v in before.items():
             assert np.array_equal(v, net.params()[k].data, equal_nan=True), k
+        for k, v in stats.items():
+            assert np.array_equal(v, net.buffers()[k]), k
 
     def test_distillation_hook_changes_gradient_flow(self, micro_data):
         teacher = np.zeros((len(micro_data), 10), dtype=np.float32)
@@ -210,6 +215,32 @@ class TestEvaluate:
         m = tr.evaluate(net, micro_data)
         prior = float((micro_data.y == 4).mean())
         assert m.top1 == pytest.approx(prior, abs=1e-9)
+
+    def test_float_route_builds_no_graph(self, micro_data, monkeypatch):
+        net = nw.build(nw.desk_micro(), seed=6)
+        expected = tr.Metrics(0, 0, 0.0, len(micro_data))
+        for lo in range(0, len(micro_data), 256):
+            logits = net.forward(micro_data.x[lo:lo + 256]).data
+            yb = micro_data.y[lo:lo + 256]
+            expected.top1 += int((logits.argmax(axis=1) == yb).sum())
+            top5 = np.argpartition(-logits, 4, axis=1)[:, :5]
+            expected.top5 += int((top5 == yb[:, None]).any(axis=1).sum())
+            expected.loss += tr.loss(logits, yb) * len(yb)
+        expected.top1 /= expected.n
+        expected.top5 /= expected.n
+        expected.loss /= expected.n
+        seen = []
+        forward = net.forward
+
+        def recording_forward(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            seen.append(out.requires_grad)
+            return out
+
+        monkeypatch.setattr(net, "forward", recording_forward)
+        assert tr.evaluate(net, micro_data) == expected
+        assert seen == [False, False, False]
+        assert all(p.requires_grad for p in net.params().values())
 
     def test_packed_evaluation_matches_float(self, micro_data):
         net = nw.build(nw.desk_micro(), seed=9)
