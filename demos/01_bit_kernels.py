@@ -19,11 +19,12 @@ print("values:     ", x)
 print("signs:      ", bt.unpack(bits))
 print("words (hex):", [hex(int(w)) for w in bits.words])
 
-# An integer dot product via XNOR + popcount, for any fan-in.
-a = rng.choice([-1.0, 1.0], size=200)
-w = rng.choice([-1.0, 1.0], size=200)
-print("\nxnor_dot:", bt.xnor_dot(bt.pack(a), bt.pack(w)),
-      " float dot:", int(a @ w))
+# An integer dot product via XNOR + popcount, for any fan-in: binary_gemm
+# on one row and one filter, with unit scale.
+a = rng.choice([-1.0, 1.0], size=(1, 200))
+w = rng.choice([-1.0, 1.0], size=(1, 200))
+dot = bt.binary_gemm(bt.pack(a), bt.pack(w), np.ones(1, np.float32))
+print("\nxnor dot:", int(dot[0, 0]), " float dot:", int((a @ w.T)[0, 0]))
 
 # Scaled binary GEMM: out[i, j] = scale[j] * <a_i, w_j>.
 A = rng.choice([-1.0, 1.0], size=(6, 100)).astype(np.float32)

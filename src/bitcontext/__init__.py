@@ -6,7 +6,7 @@ model."""
 __version__ = "0.1.0"
 
 from .bittensor import (BitTensor, DimensionError, binary_conv2d, binary_gemm,
-                        pack, pack_filters, unpack, weight_scale, xnor_dot)
+                        pack, pack_filters, unpack, weight_scale)
 from .autograd import Tensor, backward, qb_backward, qb_forward, qb_grad
 from .blocks import (BinaryConvBlock, BinaryMlpBlock, ForwardState,
                      reconstruct_long, reconstruct_short, sample_index)
@@ -20,7 +20,7 @@ from .analysis import BinErrReport, binarization_error, per_branch_report
 
 __all__ = [
     "BitTensor", "DimensionError", "binary_conv2d", "binary_gemm", "pack",
-    "pack_filters", "unpack", "weight_scale", "xnor_dot",
+    "pack_filters", "unpack", "weight_scale",
     "Tensor", "backward", "qb_backward", "qb_forward", "qb_grad",
     "BinaryConvBlock", "BinaryMlpBlock", "ForwardState", "reconstruct_long",
     "reconstruct_short", "sample_index",

@@ -179,24 +179,6 @@ def unpack(b: BitTensor) -> np.ndarray:
     return out.reshape(b.shape)
 
 
-def xnor_dot(a: BitTensor, w: BitTensor) -> int:
-    """Integer dot product of two packed sign vectors.
-
-    Equals 2 * popcount(XNOR(a, w)) - n over the n valid bits, which is the
-    exact dot product of the corresponding +-1 vectors.
-    """
-    if a.nbits != w.nbits:
-        raise DimensionError(f"valid-bit counts differ: {a.nbits} vs {w.nbits}")
-    aw = a.words.reshape(-1)
-    ww = w.words.reshape(-1)
-    if aw.shape != ww.shape:
-        raise DimensionError("word counts differ")
-    x = aw ^ ww
-    x[-1] &= _tail_mask(a.nbits)  # mask: result independent of padding bits
-    mismatches = int(np.bitwise_count(x).sum())
-    return a.nbits - 2 * mismatches
-
-
 def _xor_popcount_gemm(a_words: np.ndarray, w_words: np.ndarray, nbits: int,
                        vectors: int = 1) -> np.ndarray:
     """Mismatch counts between every row pair: (R, W) x (C, W) -> (R, C) int32,

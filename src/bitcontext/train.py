@@ -73,6 +73,10 @@ class AdamW:
 
     The decay is applied to the parameter directly (not folded into the
     gradient): p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p).
+    The moments and the parameters are updated in place, through two scratch
+    arrays per tensor, with the same operations in the same order as that
+    formula, so each step rounds exactly as the out-of-place form does; the
+    gradients are only read.
     """
 
     def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -112,15 +116,25 @@ class AdamW:
         for k, p in self.params.items():
             if p.grad is None:
                 continue
-            g = p.grad
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[k] / b1c
-            v_hat = self.v[k] / b2c
-            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            g, m, v = p.grad, self.m[k], self.v[k]
+            a, b = np.empty_like(m), np.empty_like(m)
+            np.multiply(self.beta1, m, out=m)
+            np.multiply(1.0 - self.beta1, g, out=a)
+            np.add(m, a, out=m)                    # m = b1 * m + (1 - b1) * g
+            np.multiply(self.beta2, v, out=v)
+            np.multiply(g, g, out=a)
+            np.multiply(1.0 - self.beta2, a, out=a)
+            np.add(v, a, out=v)                    # v = b2 * v + (1 - b2) * (g * g)
+            np.divide(m, b1c, out=a)               # m_hat
+            np.divide(v, b2c, out=b)               # v_hat
+            np.sqrt(b, out=b)
+            np.add(b, self.eps, out=b)
+            np.divide(a, b, out=a)                 # update = m_hat / (sqrt(v_hat) + eps)
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data -= (lr * update).astype(p.data.dtype)
+                np.multiply(self.weight_decay, p.data, out=b)
+                np.add(a, b, out=a)
+            np.multiply(lr, a, out=a)
+            np.subtract(p.data, a, out=p.data)
 
 
 def loss(logits, labels, smoothing: float = 0.0):

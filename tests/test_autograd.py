@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bitcontext import autograd as ag
 from bitcontext import bittensor as bt
@@ -47,6 +50,78 @@ class TestQbBackward:
         fd = (ag.qb_forward(x + h) - ag.qb_forward(x - h)) / (2 * h)
         got = ag.qb_backward(x, 1.0)
         assert abs(fd - got) / abs(fd) < 1e-4
+
+
+def qb_grad_reference(x):
+    """The three-pass form of qb_grad, kept as its oracle."""
+    x = np.asarray(x)
+    g = np.where(x < 0, 2.0 + 2.0 * x, 2.0 - 2.0 * x)
+    g = np.where((x >= -1.0) & (x < 1.0), g, 0.0)
+    return g.astype(x.dtype if x.dtype.kind == "f" else np.float64)
+
+
+def hard_sign_reference(z):
+    """The float64-temporary form of hard_sign, kept as its oracle."""
+    z = np.asarray(z)
+    return np.where(z > 0, 1.0, -1.0).astype(z.dtype)
+
+
+def edge_values(dtype):
+    """+-0, +-1 and their neighbours, +-inf, NaN and subnormals."""
+    f = np.finfo(dtype)
+    one, zero = dtype(1), dtype(0)
+    vals = [0.0, 1.0, np.inf, f.smallest_subnormal, f.smallest_normal / 2,
+            f.smallest_normal, f.eps, 0.5, 2.0, f.max,
+            np.nextafter(one, zero), np.nextafter(one, dtype(2)),
+            np.nextafter(zero, one)]
+    vals = np.array(vals, dtype=dtype)
+    return np.concatenate([vals, -vals, np.array([np.nan], dtype=dtype)])
+
+
+def assert_bit_identical(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSignHelpersOracle:
+    """qb_grad and hard_sign equal their multi-pass references bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edge_values(self, dtype):
+        x = edge_values(dtype)
+        with np.errstate(over="ignore"):
+            g = ag.qb_grad(x)
+            assert_bit_identical(g, qb_grad_reference(x))
+        assert_bit_identical(ag.hard_sign(x), hard_sign_reference(x))
+        assert np.all(ag.hard_sign(x)[np.isnan(x)] == -1)
+        assert np.all(g[np.isnan(x)] == 0)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1.0, -1.0, 0.25, -0.75, 3.0,
+                                   np.nan, -np.inf, np.float32(-0.5),
+                                   np.array(0.5, np.float32), np.array(-0.0)])
+    def test_scalars_and_zero_d(self, x):
+        assert_bit_identical(ag.qb_grad(x), qb_grad_reference(x))
+        assert_bit_identical(ag.hard_sign(x), hard_sign_reference(x))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64])
+    def test_integer_input(self, dtype):
+        x = np.arange(-3, 4, dtype=dtype)
+        assert ag.qb_grad(x).dtype == np.float64
+        assert_bit_identical(ag.qb_grad(x), qb_grad_reference(x))
+        assert ag.hard_sign(x).dtype == dtype
+        assert_bit_identical(ag.hard_sign(x), hard_sign_reference(x))
+        assert_bit_identical(ag.qb_grad(0), qb_grad_reference(0))
+        assert_bit_identical(ag.hard_sign(-2), hard_sign_reference(-2))
+
+    @given(hnp.arrays(st.sampled_from([np.float32, np.float64]),
+                      hnp.array_shapes(min_dims=0, max_dims=3, max_side=9)))
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_reference(self, x):
+        with np.errstate(over="ignore"):
+            assert_bit_identical(ag.qb_grad(x), qb_grad_reference(x))
+        assert_bit_identical(ag.hard_sign(x), hard_sign_reference(x))
 
 
 class TestSignSte:

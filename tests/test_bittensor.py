@@ -94,25 +94,33 @@ class TestUnpack:
         assert np.array_equal(bt.unpack(bt.pack(x)), binarize_oracle(x))
 
 
+def row_dot(a, w):
+    """XNOR/popcount dot product of two sign vectors: binary_gemm on one row
+    and one filter at unit scale."""
+    out = bt.binary_gemm(bt.pack(np.reshape(a, (1, -1))),
+                         bt.pack(np.reshape(w, (1, -1))), np.ones(1, np.float32))
+    return out[0, 0]
+
+
 class TestXnorDot:
     def test_half_matching(self):
-        a = bt.pack(np.array([1.0, -1.0, 1.0, -1.0]))
-        w = bt.pack(np.array([1.0, 1.0, -1.0, -1.0]))
-        assert bt.xnor_dot(a, w) == 0
+        assert row_dot([1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]) == 0
 
     def test_identical_full_word(self):
         v = np.resize([1.0, -1.0], 64)
-        assert bt.xnor_dot(bt.pack(v), bt.pack(v)) == 64
+        assert row_dot(v, v) == 64
 
     @pytest.mark.parametrize("n", [1, 3, 63, 64, 65, 127, 1000, 4096])
     def test_matches_float_dot(self, n, rng):
         a = rng.choice([-1.0, 1.0], size=n)
         w = rng.choice([-1.0, 1.0], size=n)
-        assert bt.xnor_dot(bt.pack(a), bt.pack(w)) == int(a @ w)
+        assert row_dot(a, w) == int(a @ w)
 
     def test_length_mismatch(self):
         with pytest.raises(bt.DimensionError):
-            bt.xnor_dot(bt.pack(np.ones(5)), bt.pack(np.ones(6)))
+            row_dot(np.ones(5), np.ones(6))
+        with pytest.raises(bt.DimensionError):  # one word against two
+            row_dot(np.ones(64), np.ones(65))
 
     @given(st.integers(1, 600), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -120,7 +128,7 @@ class TestXnorDot:
         r = np.random.default_rng(seed)
         a = r.choice([-1.0, 1.0], size=n)
         w = r.choice([-1.0, 1.0], size=n)
-        assert bt.xnor_dot(bt.pack(a), bt.pack(w)) == int(a @ w)
+        assert row_dot(a, w) == int(a @ w)
 
 
 class TestBinaryGemm:
@@ -174,10 +182,10 @@ class TestBinaryGemm:
             assert np.array_equal(bt.binary_gemm(dirty_a, dirty_w, s), clean)
             assert np.array_equal(dirty_a.words, before[0])
             assert np.array_equal(dirty_w.words, before[1])
-            assert bt.xnor_dot(
-                bt.BitTensor((k,), dirty_a.words[0], k),
-                bt.BitTensor((k,), dirty_w.words[1], k),
-            ) == int(bt.unpack(a)[0] @ bt.unpack(w)[1])
+            assert bt.binary_gemm(
+                bt.BitTensor((1, k), dirty_a.words[:1], k),
+                bt.BitTensor((1, k), dirty_w.words[1:2], k), s[:1],
+            )[0, 0] == int(bt.unpack(a)[0] @ bt.unpack(w)[1])
 
     @staticmethod
     def _mismatch_reference(a_words, w_words, nbits):

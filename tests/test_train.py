@@ -43,7 +43,67 @@ class TestLoss:
             tr.loss(np.zeros((1, 2)), np.array([0]), 1.0)
 
 
+class ReferenceAdamW:
+    """The out-of-place AdamW step, kept as the in-place one's oracle."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8,
+                 weight_decay=0.0):
+        self.params = params
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.weight_decay = weight_decay
+        self.t = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, lr):
+        self.t += 1
+        b1c = 1.0 - self.beta1 ** self.t
+        b2c = 1.0 - self.beta2 ** self.t
+        for k, p in self.params.items():
+            if p.grad is None:
+                continue
+            g = p.grad
+            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
+            m_hat = self.m[k] / b1c
+            v_hat = self.v[k] / b2c
+            update = m_hat / (np.sqrt(v_hat) + self.eps)
+            if self.weight_decay:
+                update = update + self.weight_decay * p.data
+            p.data -= (lr * update).astype(p.data.dtype)
+
+
 class TestAdamW:
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_in_place_matches_out_of_place_reference(self, weight_decay):
+        from bitcontext import autograd as ag
+        rng = np.random.default_rng(11)
+        shapes = {"conv": (8, 4, 3, 3), "fc": (5, 7), "bias": (6,),
+                  "one": (1,), "frozen": (3, 3)}
+        init = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        ours = {k: ag.param(a.copy()) for k, a in init.items()}
+        refs = {k: ag.param(a.copy()) for k, a in init.items()}
+        opt = tr.AdamW(ours, weight_decay=weight_decay)
+        ref = ReferenceAdamW(refs, weight_decay=weight_decay)
+        for t in range(5):
+            for k, s in shapes.items():
+                g = None if k == "frozen" else (
+                    rng.normal(size=s) * 10.0 ** rng.integers(-6, 3)).astype(np.float32)
+                ours[k].grad = None if g is None else g.copy()
+                refs[k].grad = g
+            opt.step(1e-2 * (t + 1))
+            ref.step(1e-2 * (t + 1))
+            for k in shapes:  # the step only reads the gradients
+                if k != "frozen":
+                    assert ours[k].grad.tobytes() == refs[k].grad.tobytes()
+        for k in shapes:
+            assert ours[k].data.dtype == np.float32
+            assert ours[k].data.tobytes() == refs[k].data.tobytes()
+            assert opt.m[k].tobytes() == ref.m[k].tobytes()
+            assert opt.v[k].tobytes() == ref.v[k].tobytes()
+        assert np.array_equal(ours["frozen"].data, init["frozen"])
+        assert not opt.m["frozen"].any() and not opt.v["frozen"].any()
+
     def test_single_parameter_closed_form(self):
         from bitcontext import autograd as ag
         p = ag.param(np.array([2.0]), dtype=np.float64)
