@@ -6,9 +6,10 @@ weights and their scaled sign approximation:
     error = (1/n) * sum |alpha * sign(w) - w|
 
 Two scale modes ship. "xnor" uses the per-filter L1 norm over the fan-in
-divided by the fan-in (the scale the binary kernels actually apply), so the
-error is exactly the representation error of the deployed layer and is zero
-iff every filter is a scalar multiple of its sign pattern. "literal" uses
+divided by the fan-in, with the sign of autograd.hard_sign: the scale and
+sign rules the binary kernels actually apply (bittensor.weight_scale), so
+the error is exactly the representation error of the deployed layer and is
+zero iff every filter is a scalar multiple of its sign pattern. "literal" uses
 ||sign(w)||_1 / c_in instead, which collapses to fan_in/c_in (a constant, 1
 for token-wise MLP weights); it ships for comparison since only the xnor
 form can describe the deployed kernels.
@@ -20,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autograd import hard_sign
+from .bittensor import weight_scale
 from .blocks import BinaryMlpBlock
 from .network import Network
 
@@ -52,9 +55,9 @@ def binarization_error(w: np.ndarray, mode: str = "xnor") -> float:
     c_out = w.shape[0]
     c_in = w.shape[1]
     flat = w.reshape(c_out, -1)
-    sign = np.where(flat > 0, 1.0, -1.0)
+    sign = hard_sign(flat)
     if mode == "xnor":
-        alpha = np.abs(flat).mean(axis=1, keepdims=True)
+        alpha = weight_scale(flat)[:, None]
     elif mode == "literal":
         # per-filter L1 of the sign pattern over the channel count,
         # i.e. fan_in / c_in (k*k for convs, exactly 1 for MLPs)

@@ -94,9 +94,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self):
-        return Tensor(self.data)
-
     def accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)

@@ -117,9 +117,6 @@ class BitTensor:
     def n_words(self) -> int:
         return self.words.shape[-1]
 
-    def unpack(self) -> np.ndarray:
-        return unpack(self)
-
     def padding_is_clean(self) -> bool:
         """True when every bit past nbits is zero (constructor guarantee)."""
         mask = _tail_mask(self.nbits // self.vectors)

@@ -19,6 +19,9 @@ binary_conv2d gather windows with bittensor.im2col. Dynamic thresholds and
 biases, norm, shortcut, activation, stem and classifier run the same
 autograd ops on both routes. infer_packed(x) is forward on the packed route
 under ag.no_grad, so it builds no graph.
+Each binary core applies the per-filter weight scale _scale(w, st), a pure
+function of the shadow weights computed where the core runs and never
+cached, so no block holds state beyond its parameters and buffers.
 Because the binary GEMMs produce exact integers before any float scaling,
 the two routes agree bit for bit in evaluation mode; tests pin that.
 """
@@ -109,8 +112,14 @@ class ForwardState:
     training: bool = False
     binary_weights: bool = True
     surrogate: bool = False
-    freeze_scales: bool = False
     packed: bool = False
+
+
+def _scale(w: Tensor, st: ForwardState):
+    """Per-filter scale of a binarized weight bank, None in real-weight mode.
+    weight_scale is resolved through this module's globals at each call, so
+    a wrapper installed on blocks.weight_scale sees every scale."""
+    return weight_scale(w.data) if st.binary_weights else None
 
 
 def _uniform(rng, shape, fan_in, dtype):
@@ -124,7 +133,6 @@ class _Layer:
     def __init__(self):
         self._params: dict[str, Tensor] = {}
         self._buffers: dict[str, np.ndarray] = {}
-        self._scale_cache = None
 
     def _add_param(self, name, data):
         t = ag.param(data, dtype=data.dtype)
@@ -148,27 +156,18 @@ class _Layer:
         with ag.no_grad():
             return self.forward(Tensor(x), ForwardState(packed=True)).data
 
-    def _weight_scales(self, st: ForwardState, weights):
-        """Per-filter scales of the binarized weights, None in real-weight
-        mode. st.freeze_scales holds them fixed across calls, so
-        finite-difference checks see a constant scale."""
-        if not st.binary_weights:
-            return [None] * len(weights)
-        if st.freeze_scales and self._scale_cache is not None:
-            return self._scale_cache
-        scales = [weight_scale(w.data) for w in weights]
-        self._scale_cache = scales if st.freeze_scales else None
-        return scales
-
 
 class _NormAct:
     """Mixin: batch norm + per-channel parametric activation tail."""
 
-    def _init_norm_act(self, c, dtype):
+    def _init_norm(self, c, dtype):
         self.bn_gamma = self._add_param("bn_gamma", np.ones(c, dtype=dtype))
         self.bn_beta = self._add_param("bn_beta", np.zeros(c, dtype=dtype))
         self.running_mean = self._add_buffer("running_mean", np.zeros(c, dtype=dtype))
         self.running_var = self._add_buffer("running_var", np.ones(c, dtype=dtype))
+
+    def _init_norm_act(self, c, dtype):
+        self._init_norm(c, dtype)
         self.act_shift_in = self._add_param("act_shift_in", np.zeros(c, dtype=dtype))
         self.act_slope = self._add_param("act_slope", np.full(c, 0.25, dtype=dtype))
         self.act_shift_out = self._add_param("act_shift_out", np.zeros(c, dtype=dtype))
@@ -181,7 +180,7 @@ class _NormAct:
         return ag.rprelu(y, self.act_shift_in, self.act_slope, self.act_shift_out)
 
 
-class StemConv(_Layer):
+class StemConv(_Layer, _NormAct):
     """Full-precision entry convolution + batch norm (optional 2x pool)."""
 
     def __init__(self, c_in, c_out, stride, rng, dtype=np.float32, kernel=3,
@@ -192,17 +191,11 @@ class StemConv(_Layer):
         fan_in = c_in * kernel * kernel
         self.w = self._add_param("w", _uniform(rng, (c_out, c_in, kernel, kernel),
                                                fan_in, dtype))
-        self.bn_gamma = self._add_param("bn_gamma", np.ones(c_out, dtype=dtype))
-        self.bn_beta = self._add_param("bn_beta", np.zeros(c_out, dtype=dtype))
-        self.running_mean = self._add_buffer("running_mean",
-                                             np.zeros(c_out, dtype=dtype))
-        self.running_var = self._add_buffer("running_var",
-                                            np.ones(c_out, dtype=dtype))
+        self._init_norm(c_out, dtype)
 
     def forward(self, x: Tensor, st: ForwardState) -> Tensor:
         y = ag.conv2d(x, self.w, stride=self.stride, pad=self.kernel // 2)
-        y = ag.batchnorm(y, self.bn_gamma, self.bn_beta, self.running_mean,
-                         self.running_var, training=st.training)
+        y = self._norm(y, st)
         if self.pool:
             y = ag.avgpool2(y)
         return y
@@ -276,9 +269,6 @@ class BinaryConvBlock(_Layer, _NormAct):
             self.thr = self._add_param("thr", np.zeros(c_in, dtype=dtype))
         self._init_norm_act(c_out, dtype)
 
-    def scale(self, st: ForwardState):
-        return self._weight_scales(st, [self.w])[0]
-
     def forward(self, x: Tensor, st: ForwardState) -> Tensor:
         if self.dynamic is not None:
             alpha = self.dynamic.alpha(x)
@@ -289,11 +279,11 @@ class BinaryConvBlock(_Layer, _NormAct):
         pad = self.kernel // 2
         if st.packed:
             y = Tensor(binary_conv2d(pack(x.data, thr.data), pack_filters(self.w.data),
-                                     self.scale(st), stride=self.stride, pad=pad))
+                                     _scale(self.w, st), stride=self.stride, pad=pad))
         else:
             xb = ag.binarize(x, thr, surrogate=st.surrogate)
             y = ag.conv2d(xb, self.w, stride=self.stride, pad=pad,
-                          surrogate=st.surrogate, scale=self.scale(st),
+                          surrogate=st.surrogate, scale=_scale(self.w, st),
                           pad_value=-1.0)
         if gamma is not None:
             y = y + gamma.reshape(gamma.shape[0], self.c_out, 1, 1)
@@ -327,10 +317,7 @@ class BinaryMlpBlock(_Layer, _NormAct):
         self.thr = self._add_param("thr", np.zeros(c, dtype=dtype))
         self._init_norm_act(c, dtype)
 
-    def scales(self, st: ForwardState):
-        return self._weight_scales(st, self.ws)
-
-    def _branch(self, src, kind, w: Tensor, scale, st: ForwardState) -> Tensor:
+    def _branch(self, src, kind, w: Tensor, st: ForwardState) -> Tensor:
         """Token-wise binary FC over one sampling range's tokens; src is the
         packed input on the packed route, the binarized tensor otherwise."""
         if st.packed:
@@ -341,11 +328,11 @@ class BinaryMlpBlock(_Layer, _NormAct):
             n, c, h, wd = src.shape
             rows = BitTensor((n * h * wd, c), src.words.reshape(n * h * wd, -1),
                              src.nbits)
-            out = binary_gemm(rows, pack_filters(w.data), scale)
+            out = binary_gemm(rows, pack_filters(w.data), _scale(w, st))
             return Tensor(out.reshape(n, h, wd, c).transpose(0, 3, 1, 2))
         offs = branch_offsets(kind, src.shape[2], src.shape[3])
         tok = src if offs is None else ag.quartile_shift(src, offs)
-        return ag.token_fc(tok, w, surrogate=st.surrogate, scale=scale)
+        return ag.token_fc(tok, w, surrogate=st.surrogate, scale=_scale(w, st))
 
     def forward(self, x: Tensor, st: ForwardState) -> Tensor:
         if st.packed:
@@ -353,8 +340,8 @@ class BinaryMlpBlock(_Layer, _NormAct):
         else:
             src = ag.binarize(x, self.thr, surrogate=st.surrogate)
         y = None
-        for kind, w, scale in zip(self.branches, self.ws, self.scales(st)):
-            out = self._branch(src, kind, w, scale, st)
+        for kind, w in zip(self.branches, self.ws):
+            out = self._branch(src, kind, w, st)
             y = out if y is None else y + out
         y = self._norm(y, st)
         y = y + x

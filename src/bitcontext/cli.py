@@ -12,6 +12,7 @@ BITCONTEXT_DATA environment variable.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis, costmodel, data as dt, network as nw, train as tr
-from .config import (ConfigError, apply_overrides, config_digest,
+from .config import (DEFAULTS, ConfigError, apply_overrides, config_digest,
                      load_config, parse_config)
 
 
@@ -42,23 +43,31 @@ def _load_cfg(args) -> dict:
 
 
 def _network_spec(cfg) -> nw.NetworkSpec:
+    """The [network] spec_file's network, else the preset's, called with the
+    [network] keys its function takes. A key set away from its default that
+    neither reads is a ConfigError."""
     ncfg = cfg["network"]
+    name = ncfg["preset"]
+    if ncfg["spec_file"]:
+        takes, source = {"spec_file"}, f"spec_file {ncfg['spec_file']}"
+    elif name in nw.PRESETS:
+        takes = {"preset", *inspect.signature(nw.PRESETS[name]).parameters}
+        source = f"preset {name}"
+    else:
+        raise ConfigError(f"network.preset: unknown preset {name!r}; "
+                          f"have {sorted(nw.PRESETS)}")
+    for key, value in ncfg.items():
+        if key not in takes and value != DEFAULTS["network"][key]:
+            raise ConfigError(f"network.{key} = {value!r} does not apply to {source}")
     if ncfg["spec_file"]:
         try:
             with open(ncfg["spec_file"]) as f:
                 return nw.parse_network_spec(f.read())
         except OSError as e:
             raise RuntimeFailure(f"cannot read spec file: {e}") from None
-    name = ncfg["preset"]
-    kwargs = {"classes": ncfg["classes"]}
-    if name in ("desk-tiny", "desk-micro"):
-        kwargs["branches"] = tuple(b.strip() for b in ncfg["branches"].split(","))
-    if name in ("desk-tiny", "bcdnet-a-like"):
-        kwargs["dynamic"] = ncfg["dynamic"]
-    if name == "reactnet18-like":
-        kwargs["mlp_tail"] = ncfg["mlp_tail"]
-    if name == "desk-sweep":
-        kwargs["n_mlp"] = ncfg["n_mlp"]
+    kwargs = {k: v for k, v in ncfg.items() if k in takes and k != "preset"}
+    if "branches" in kwargs:
+        kwargs["branches"] = tuple(b.strip() for b in kwargs["branches"].split(","))
     return nw.preset(name, **kwargs)
 
 

@@ -31,21 +31,9 @@ def _coerce(section, key, value, kind):
         ) from None
 
 
-SCHEMA = {
-    "run": {"seed": int},
-    "network": {"preset": str, "classes": int, "branches": str,
-                "dynamic": bool, "spec_file": str, "mlp_tail": bool,
-                "n_mlp": int},
-    "data": {"root": str, "train_split": str, "eval_split": str,
-             "synthetic": str, "n_train": int, "n_test": int, "seed": int},
-    "train": {"iterations": int, "batch_size": int, "lr": float,
-              "weight_decay": float, "smoothing": float, "augment": str,
-              "kd_logits": str, "kd_weight": float},
-    "train2": {"iterations": int, "batch_size": int, "lr": float,
-               "weight_decay": float, "smoothing": float, "augment": str,
-               "kd_logits": str, "kd_weight": float},
-    "sweep": {"points": str, "band": float, "train": bool},
-}
+_TRAIN = {"iterations": 500, "batch_size": 64, "lr": 2e-3,
+          "weight_decay": 1e-5, "smoothing": 0.1, "augment": "roll",
+          "kd_logits": "", "kd_weight": 0.0}
 
 DEFAULTS = {
     "run": {"seed": 0},
@@ -54,14 +42,13 @@ DEFAULTS = {
                 "spec_file": "", "mlp_tail": False, "n_mlp": 0},
     "data": {"root": "", "train_split": "train", "eval_split": "test",
              "synthetic": "none", "n_train": 4000, "n_test": 1000, "seed": 0},
-    "train": {"iterations": 500, "batch_size": 64, "lr": 2e-3,
-              "weight_decay": 1e-5, "smoothing": 0.1, "augment": "roll",
-              "kd_logits": "", "kd_weight": 0.0},
-    "train2": {"iterations": 500, "batch_size": 64, "lr": 1e-3,
-               "weight_decay": 0.0, "smoothing": 0.1, "augment": "roll",
-               "kd_logits": "", "kd_weight": 0.0},
+    "train": _TRAIN,
+    "train2": {**_TRAIN, "lr": 1e-3, "weight_decay": 0.0},
     "sweep": {"points": "0,3,6", "band": 0.03, "train": False},
 }
+
+# Each key's type is its default's.
+SCHEMA = {s: {k: type(v) for k, v in keys.items()} for s, keys in DEFAULTS.items()}
 
 
 def iter_ini(text: str, error):

@@ -56,18 +56,32 @@ def write_idx(path, arr: np.ndarray) -> None:
 
 
 def read_idx(path) -> np.ndarray:
+    """Read an IDX file; a bad magic or type code, or a header, dims block
+    or payload shorter than it declares, raises ValueError."""
     with open(path, "rb") as f:
-        zero, code, ndim = struct.unpack(">HBB", f.read(4))
-        if zero != 0:
-            raise ValueError(f"{path}: bad IDX magic")
-        shape = struct.unpack(f">{ndim}I", f.read(4 * ndim))
-        if code == IDX_UBYTE:
-            dt = np.dtype(np.uint8)
-        elif code == IDX_FLOAT:
-            dt = np.dtype(np.float32).newbyteorder(">")
-        else:
-            raise ValueError(f"{path}: unsupported IDX type 0x{code:02x}")
-        data = np.frombuffer(f.read(), dtype=dt, count=int(np.prod(shape)))
+        blob = f.read()
+
+    def need(nbytes, what):
+        if len(blob) < nbytes:
+            raise ValueError(f"{path}: IDX {what} needs {nbytes} bytes, "
+                             f"file has {len(blob)}")
+
+    need(4, "header")
+    zero, code, ndim = struct.unpack_from(">HBB", blob)
+    if zero != 0:
+        raise ValueError(f"{path}: bad IDX magic")
+    if code == IDX_UBYTE:
+        dt = np.dtype(np.uint8)
+    elif code == IDX_FLOAT:
+        dt = np.dtype(np.float32).newbyteorder(">")
+    else:
+        raise ValueError(f"{path}: unsupported IDX type 0x{code:02x}")
+    off = 4 + 4 * ndim
+    need(off, "dims block")
+    shape = struct.unpack_from(f">{ndim}I", blob, 4)
+    count = int(np.prod(shape))
+    need(off + dt.itemsize * count, f"shape {shape}")
+    data = np.frombuffer(blob, dtype=dt, count=count, offset=off)
     return data.reshape(shape).astype(dt.newbyteorder("="))
 
 
@@ -100,32 +114,22 @@ def read_cifar_bin(path):
 
 
 # ---------------------------------------------------------------------------
-# directory loading with format auto-detection
-
-
-def _detect_format(path) -> str:
-    with open(path, "rb") as f:
-        head = f.read(4)
-    if len(head) == 4 and head[0] == 0 and head[1] == 0 \
-            and head[2] in (IDX_UBYTE, IDX_FLOAT):
-        return "idx"
-    if os.path.getsize(path) % CIFAR_RECORD == 0:
-        return "cifar"
-    raise ValueError(f"{path}: neither IDX nor CIFAR binary")
+# directory loading
 
 
 def load_dir(root, split: str) -> Dataset:
     """Load a dataset directory; IDX pairs or CIFAR .bin files.
 
-    IDX naming: <split>-images.idx + <split>-labels.idx.
+    IDX naming: <split>-images.idx + <split>-labels.idx, one label per image.
     CIFAR naming: <split>*.bin (all matching files concatenated).
     """
     idx_images = os.path.join(root, f"{split}-images.idx")
     if os.path.exists(idx_images):
-        if _detect_format(idx_images) != "idx":
-            raise ValueError(f"{idx_images}: expected IDX content")
         images = read_idx(idx_images)
         labels = read_idx(os.path.join(root, f"{split}-labels.idx")).astype(np.int64)
+        if len(images) != len(labels):
+            raise ValueError(f"{split!r} has {len(images)} images "
+                             f"but {len(labels)} labels")
         if images.ndim == 3:  # (n, h, w) -> single channel
             images = images[:, None, :, :]
         x = normalize_images(images) if images.dtype == np.uint8 \

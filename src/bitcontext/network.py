@@ -63,8 +63,12 @@ class LayerSpec:
     def validate(self):
         if self.kind not in LAYER_KINDS:
             raise SpecError(f"unknown layer kind {self.kind!r}")
+        if min(self.c_out, self.stride, self.kernel) < 1:
+            raise SpecError(f"{self.kind} needs positive out, stride and kernel")
         if self.pool and self.kind != "stem-conv":
             raise SpecError(f"{self.kind} cannot pool; only the stem-conv pools")
+        if self.kind == "stem-conv" and self.kernel % 2 == 0:
+            raise SpecError(f"stem-conv kernel must be odd, got {self.kernel}")
         if self.kind == "binary-mlp":
             if self.c_in != self.c_out or self.stride != 1:
                 raise SpecError("binary-mlp is stride 1 and must preserve channels")
@@ -90,13 +94,17 @@ class LayerSpec:
                 f"got {self.c_in} -> {self.c_out}"
             )
 
+    @property
+    def divisor(self) -> int:
+        """Resolution divisor: the stride, doubled when the stem pools."""
+        return self.stride * (2 if self.pool else 1)
+
     def out_hw(self, h: int, w: int) -> tuple:
-        """Output resolution at an h x w input: the stride divides, a stem
-        pool halves again, and the classifier pools to 1x1."""
+        """Output resolution at an h x w input the divisor divides; the
+        classifier pools to 1x1."""
         if self.kind == "classifier":
             return 1, 1
-        div = self.stride * (2 if self.pool else 1)
-        return h // div, w // div
+        return h // self.divisor, w // self.divisor
 
 
 @dataclass
@@ -129,12 +137,9 @@ class NetworkSpec:
                     raise SpecError("classifier must be last")
                 c = self.classes
                 continue
-            if ls.stride == 2 or ls.pool:
-                div = 2 * (2 if (ls.stride == 2 and ls.pool) else 1)
-                if h % div or w % div:
-                    raise SpecError(
-                        f"layer {i} downsamples {h}x{w} not divisible by {div}"
-                    )
+            if h % ls.divisor or w % ls.divisor:
+                raise SpecError(f"layer {i} downsamples {h}x{w} "
+                                f"not divisible by {ls.divisor}")
             h, w = ls.out_hw(h, w)
             c = ls.c_out
         return self
@@ -164,9 +169,16 @@ class NetworkSpec:
         return "\n".join(lines)
 
 
+def _positive(v: str) -> int:
+    n = int(v)
+    if n < 1:
+        raise ValueError(v)
+    return n
+
+
 def _hxw(v: str) -> tuple:
     h, w = v.lower().split("x")
-    return int(h), int(w)
+    return _positive(h), _positive(w)
 
 
 def _flag(v: str) -> bool:
@@ -177,11 +189,14 @@ def _flag(v: str) -> bool:
 
 # Each section's keys and the parser of each key's value.
 _SECTION_KEYS = {
-    "network": {"name": str, "input": _hxw, "in_channels": int, "classes": int},
-    "layer": {"kind": str, "out": int, "stride": int, "kernel": int,
-              "dynamic": _flag, "branches": str, "pool": _flag},
+    "network": {"name": str, "input": _hxw, "in_channels": _positive,
+                "classes": _positive},
+    "layer": {"kind": str, "out": _positive, "stride": _positive,
+              "kernel": _positive, "dynamic": _flag, "branches": str,
+              "pool": _flag},
 }
-_EXPECTED = {int: "an integer", _hxw: "HxW", _flag: "true or false"}
+_EXPECTED = {_positive: "a positive integer", _hxw: "HxW of positive integers",
+             _flag: "true or false"}
 # A classifier's width comes from [network] classes, so it needs no "out".
 _REQUIRED_KEYS = {"network": ("input", "classes"), "layer": ("kind", "out")}
 
@@ -214,12 +229,15 @@ def parse_network_spec(text: str) -> NetworkSpec:
                               classes=sec["classes"],
                               in_channels=sec.get("in_channels", 3))
         else:
-            layers.append(sec)
+            layers.append((ln, sec))
     if net is None:
         raise SpecError("missing [network] section")
     c = net.in_channels
-    for sec in layers:
+    for ln, sec in layers:
         kind = sec["kind"]
+        if "kernel" in sec and kind != "stem-conv":
+            raise SpecError(f"line {ln}: {kind} has a fixed kernel; "
+                            "only the stem-conv sets one")
         c_out = net.classes if kind == "classifier" else sec["out"]
         ls = LayerSpec(kind=kind, c_in=c, c_out=c_out, stride=sec.get("stride", 1),
                        kernel=sec.get("kernel", 3), dynamic=sec.get("dynamic", False),
@@ -260,13 +278,13 @@ class Network:
         for p in self.params().values():
             p.grad = None
 
-    def forward(self, x, training=False, surrogate=False, freeze_scales=False):
+    def forward(self, x, training=False, surrogate=False):
         """Float-graph forward; returns the logits Tensor."""
         if isinstance(x, np.ndarray):
             self._check_resolution(x)
             x = ag.Tensor(np.ascontiguousarray(x, dtype=self.dtype))
         st = ForwardState(training=training, binary_weights=self.binary_weights,
-                          surrogate=surrogate, freeze_scales=freeze_scales)
+                          surrogate=surrogate)
         for layer in self.layers:
             x = layer.forward(x, st)
         return x

@@ -34,7 +34,6 @@ class TrainConfig:
     weight_decay: float = 1e-5
     smoothing: float = 0.1
     seed: int = 0
-    dataset: str = ""
     augment: str = "none"
     teacher_logits: np.ndarray | None = None
     kd_weight: float = 0.0
@@ -58,7 +57,6 @@ class Metrics:
 @dataclass
 class TrainResult:
     loss_history: list = field(default_factory=list)
-    final_lr: float = 0.0
 
 
 def cosine_lr(t: int, total: int, peak: float) -> float:
@@ -174,7 +172,6 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(net.params(), weight_decay=cfg.weight_decay)
     result = TrainResult()
-    lr = cfg.lr
     buffers = list(net.buffers().values())
     stats = [b.copy() for b in buffers]  # restored if an iteration diverges
     for it, idx in enumerate(_batch_iter(len(data), cfg.batch_size,
@@ -205,7 +202,6 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
         lr = cosine_lr(it, cfg.iterations, cfg.lr)
         opt.step(lr)
         result.loss_history.append(value)
-    result.final_lr = lr
     return result
 
 

@@ -58,3 +58,27 @@ def central_difference(f, x, idx, h=1e-6):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def frozen_weight_scales(monkeypatch):
+    """Hold each weight bank's scale at its first computed value.
+
+    The straight-through gradients treat the per-filter scale as a
+    constant, so finite-difference checks that nudge a weight in place must
+    see it fixed. This replaces blocks.weight_scale, the name every binary
+    core calls, with a memo keyed on the weight array's identity; each array
+    is kept alive beside its scale so no id is reused during the test.
+    """
+    from bitcontext import blocks
+
+    compute = blocks.weight_scale
+    memo = {}
+
+    def weight_scale(w):
+        if id(w) not in memo:
+            memo[id(w)] = (w, compute(w))
+        return memo[id(w)][1]
+
+    monkeypatch.setattr(blocks, "weight_scale", weight_scale)
+    return memo

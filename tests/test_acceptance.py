@@ -91,7 +91,9 @@ def test_criterion_1_kernel_oracle_equivalence():
 
 
 @criterion(2, "STE gradients: qb and end-to-end surrogate finite differences")
-def test_criterion_2_ste_gradient_checks():
+def test_criterion_2_ste_gradient_checks(frozen_weight_scales):
+    """The end-to-end check holds the weight scales fixed through the
+    frozen_weight_scales fixture."""
     rng = np.random.default_rng(202)
     # qb_backward vs central differences at 1k points in (-1,1) \ {0}
     xs = rng.uniform(-1.0, 1.0, size=2000)
@@ -118,13 +120,12 @@ def test_criterion_2_ste_gradient_checks():
     labels = np.array([1, 2])
 
     def forward():
-        out = net.forward(x, training=False, surrogate=True, freeze_scales=True)
+        out = net.forward(x, training=False, surrogate=True)
         return float(ag.cross_entropy(out, labels, 0.1).data)
 
     forward()
     loss = ag.cross_entropy(
-        net.forward(x, training=False, surrogate=True, freeze_scales=True),
-        labels, 0.1)
+        net.forward(x, training=False, surrogate=True), labels, 0.1)
     net.zero_grad()
     loss.backward()
     params = net.params()

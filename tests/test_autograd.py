@@ -261,8 +261,9 @@ class TestBackward:
         loss().backward()
         assert np.allclose(w.grad, 2.0 * g1, rtol=1e-12)
 
-    def test_conv_block_fd_spot_check(self, rng):
-        """End-to-end surrogate-path gradients on 10 random parameters."""
+    def test_conv_block_fd_spot_check(self, rng, frozen_weight_scales):
+        """End-to-end surrogate-path gradients on 10 random parameters; the
+        frozen_weight_scales fixture holds the weight scales fixed."""
         from bitcontext import network as nw
         spec = nw.NetworkSpec("fd", (8, 8), 3, [
             nw.LayerSpec("stem-conv", 3, 8, stride=2),
@@ -275,12 +276,11 @@ class TestBackward:
         labels = np.array([0, 2])
 
         def forward():
-            out = net.forward(x, training=False, surrogate=True,
-                              freeze_scales=True)
+            out = net.forward(x, training=False, surrogate=True)
             return float(ag.cross_entropy(out, labels, 0.1).data)
 
-        forward()  # populate frozen scale caches
-        out = net.forward(x, training=False, surrogate=True, freeze_scales=True)
+        forward()  # freeze the weight scales at their initial values
+        out = net.forward(x, training=False, surrogate=True)
         loss = ag.cross_entropy(out, labels, 0.1)
         net.zero_grad()
         loss.backward()

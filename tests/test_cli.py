@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from bitcontext import cli
+from bitcontext import config
 from bitcontext import costmodel as cm
+from bitcontext import data as dt
 from bitcontext import network as nw
 
 
@@ -196,6 +198,51 @@ class TestErrors:
         assert run(["count-ops", "--set", "network.spec_file=net.spec"]) == 2
         assert f"lacks required key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels,match", [
+        (b"\x00\x00", "header needs 4 bytes"),
+        (np.zeros(4, np.uint8), "10 images but 4 labels")])
+    def test_bad_idx_dataset_is_runtime_error(self, tmp_path, monkeypatch,
+                                              capsys, labels, match):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("data")
+        dt.write_idx("data/train-images.idx", np.zeros((10, 16, 16), np.uint8))
+        if isinstance(labels, bytes):
+            open("data/train-labels.idx", "wb").write(labels)
+        else:
+            dt.write_idx("data/train-labels.idx", labels)
+        assert run(["train", "--output", "ck.bin", "--set", "data.root=data",
+                    "--set", "network.preset=desk-micro"]) == 2
+        err = capsys.readouterr().err
+        assert "dataset: " in err and match in err
+
+    @pytest.mark.parametrize("sets,key", [
+        (["network.preset=desk-sweep", "network.dynamic=true"], "network.dynamic"),
+        (["network.preset=desk-micro", "network.n_mlp=3"], "network.n_mlp"),
+        (["network.preset=bcdnet-b-like", "network.mlp_tail=true"],
+         "network.mlp_tail"),
+        (["network.spec_file=net.spec", "network.classes=3"], "network.classes"),
+        (["network.spec_file=net.spec", "network.preset=desk-micro"],
+         "network.preset")])
+    def test_network_key_the_source_ignores_is_usage_error(
+            self, tmp_path, monkeypatch, capsys, sets, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.spec").write_text(nw.desk_micro().to_text())
+        args = ["export-spec"] + [a for s in sets for a in ("--set", s)]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert key in err and sets[0].split("=")[1] in err
+
+    def test_default_valued_network_keys_are_accepted(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run(["export-spec", "--set", "network.preset=desk-sweep",
+                    "--set", "network.dynamic=false",
+                    "--set", "network.branches=point,short,long"]) == 0
+
+    def test_unknown_preset_is_usage_error(self, workdir, capsys):
+        assert run(["count-ops", "--set", "network.preset=nope"]) == 1
+        assert "network.preset" in capsys.readouterr().err
+
     def test_diverged_training_is_runtime_error(self, workdir, capsys):
         assert run(["train", "--config", "run.cfg", "--output", "ck.bin",
                     "--set", "train.lr=1e4"]) == 2
@@ -253,3 +300,23 @@ class TestReports:
         assert run(["count-ops", "--output", "ops.txt"]) == 0
         assert os.path.exists("ops.txt")
         assert os.path.exists("ops.txt.manifest.json")
+
+
+class TestConfig:
+    def test_default_digest_is_pinned(self):
+        """Manifests of default runs keep their config_sha256."""
+        assert config.config_digest(config.parse_config("")) == (
+            "3e3e901bf536742af8a8b5f7c63b7ecd617d1e61051c00ba8a8638b75cc325d2")
+
+    def test_train2_defaults_override_only_lr_and_weight_decay(self):
+        d = config.DEFAULTS
+        diff = {k for k in d["train"] if d["train"][k] != d["train2"][k]}
+        assert diff == {"lr", "weight_decay"} and d["train2"]["weight_decay"] == 0.0
+        assert set(d["train2"]) == set(d["train"])
+
+    def test_schema_types_are_the_defaults_types(self):
+        cfg = config.apply_overrides(config.parse_config(""), [
+            "train.lr=1", "sweep.band=0", "network.dynamic=yes", "run.seed=3"])
+        assert cfg["train"]["lr"] == 1.0 and isinstance(cfg["train"]["lr"], float)
+        assert cfg["sweep"]["band"] == 0.0 and isinstance(cfg["sweep"]["band"], float)
+        assert cfg["network"]["dynamic"] is True and cfg["run"]["seed"] == 3

@@ -24,6 +24,24 @@ class TestIdx:
         assert head[0] == 0 and head[1] == 0
         assert head[2] == dt.IDX_UBYTE and head[3] == 2
 
+    @pytest.mark.parametrize("cut,what", [
+        (0, "header"), (3, "header"), (4, "dims block"), (11, "dims block"),
+        (12, r"shape \(2, 3\)"), (17, r"shape \(2, 3\)")])
+    def test_truncated_file_names_what_is_short(self, tmp_path, cut, what):
+        p = tmp_path / "x.idx"
+        dt.write_idx(p, np.zeros((2, 3), dtype=np.uint8))
+        p.write_bytes(p.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=f"{what} needs .* file has {cut}"):
+            dt.read_idx(p)
+
+    @pytest.mark.parametrize("head,match", [
+        (b"\x01\x00\x08\x01", "magic"), (b"\x00\x00\x09\x01", "type 0x09")])
+    def test_bad_magic_or_type_code(self, tmp_path, head, match):
+        p = tmp_path / "x.idx"
+        p.write_bytes(head + b"\x00\x00\x00\x01\x00")
+        with pytest.raises(ValueError, match=match):
+            dt.read_idx(p)
+
 
 class TestCifarBin:
     def test_roundtrip(self, tmp_path, rng):
@@ -60,6 +78,12 @@ class TestLoadDir:
         dt.write_synthetic_dir(tmp_path, 30, 10, size=16, channels=1, seed=0)
         ds = dt.load_dir(tmp_path, "test")
         assert ds.x.shape == (10, 1, 16, 16)
+
+    def test_idx_image_label_count_mismatch(self, tmp_path):
+        dt.write_idx(tmp_path / "train-images.idx", np.zeros((10, 4, 4), np.uint8))
+        dt.write_idx(tmp_path / "train-labels.idx", np.zeros(4, np.uint8))
+        with pytest.raises(ValueError, match="10 images but 4 labels"):
+            dt.load_dir(tmp_path, "train")
 
     def test_missing_split(self, tmp_path):
         with pytest.raises(FileNotFoundError):

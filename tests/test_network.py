@@ -147,6 +147,74 @@ class TestSpecs:
         with pytest.raises(nw.SpecError):
             nw.parse_network_spec(text)
 
+    @pytest.mark.parametrize("old,new,line", [
+        ("stride = 2", "stride = 0", 9), ("stride = 2", "stride = -1", 9),
+        ("kernel = 3", "kernel = 0", 10), ("out = 8", "out = 0", 8),
+        ("input = 32x32", "input = 0x0", 2), ("classes = 10", "classes = 0", 3),
+        ("input = 32x32", "input = 32x-4", 2)])
+    def test_non_positive_value_names_its_line(self, old, new, line):
+        text = _stem_spec_text().replace(old, new)
+        with pytest.raises(nw.SpecError, match=f"line {line}: .* positive"):
+            nw.parse_network_spec(text)
+
+    @pytest.mark.parametrize("stem,match", [
+        ("stride = 3\nkernel = 3", "not divisible by 3"),
+        ("stride = 1\nkernel = 4", "kernel must be odd"),
+        ("stride = 2\nkernel = 2", "kernel must be odd"),
+        ("stride = 2\nkernel = 3\npool = true", None),
+        ("stride = 3\nkernel = 3\npool = true", "not divisible by 6")])
+    def test_stem_counted_resolution_is_built(self, stem, match):
+        """At 32x32 a stride-3 stem builds 11x11 and an even kernel one more
+        row and column than out_hw counts, so both are rejected."""
+        text = _stem_spec_text().replace("stride = 2\nkernel = 3", stem)
+        if match is not None:
+            with pytest.raises(nw.SpecError, match=match):
+                nw.parse_network_spec(text)
+        else:
+            assert _built_stem_hw(nw.parse_network_spec(text)) == (8, 8)
+
+    def test_kernel_off_the_stem_rejected(self):
+        text = _stem_spec_text().replace(
+            "[layer]\nkind = classifier",
+            "[layer]\nkind = binary-conv-3x3\nout = 8\nkernel = 5\n\n"
+            "[layer]\nkind = classifier")
+        with pytest.raises(nw.SpecError, match="line 12: binary-conv-3x3 .*kernel"):
+            nw.parse_network_spec(text)
+
+    def test_programmatic_zero_stride_rejected(self):
+        with pytest.raises(nw.SpecError, match="positive"):
+            nw.LayerSpec("stem-conv", 3, 8, stride=0).validate()
+
+    @given(st.integers(-1, 4), st.integers(-1, 6), st.booleans(),
+           st.integers(-1, 13), st.integers(-1, 13))
+    @settings(max_examples=60, deadline=None)
+    def test_stem_out_hw_matches_the_build(self, stride, kernel, pool, h, w):
+        """Any stem either fails as a SpecError or builds exactly the
+        resolution LayerSpec.out_hw (and so costmodel) counts."""
+        text = _stem_spec_text(h, w).replace(
+            "stride = 2\nkernel = 3",
+            f"stride = {stride}\nkernel = {kernel}\npool = {str(pool).lower()}")
+        try:
+            spec = nw.parse_network_spec(text)
+        except nw.SpecError:
+            return
+        assert _built_stem_hw(spec) == spec.layers[0].out_hw(h, w)
+
+
+def _stem_spec_text(h=32, w=32):
+    return (f"[network]\ninput = {h}x{w}\nclasses = 10\nin_channels = 1\n\n"
+            "[layer]\nkind = stem-conv\nout = 8\nstride = 2\nkernel = 3\n\n"
+            "[layer]\nkind = classifier\n")
+
+
+def _built_stem_hw(spec):
+    net = nw.build(spec)
+    h, w = spec.input_hw
+    with ag.no_grad():
+        y = net.layers[0].forward(ag.Tensor(np.zeros((1, 1, h, w), np.float32)),
+                                  bk.ForwardState())
+    return y.shape[2:]
+
 
 @st.composite
 def random_specs(draw):
