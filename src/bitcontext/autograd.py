@@ -47,11 +47,15 @@ def qb_forward(x):
 
 
 def qb_grad(x):
-    """Derivative of qb_forward in one pass: max(2 - 2|x|, 0), NaN -> 0."""
+    """Derivative of qb_forward: max(2 - 2|x|, 0), NaN -> 0, computed in
+    one buffer with x's layout (abs, times 2, 2 minus, fmax in place)."""
     x = np.asarray(x)
     if x.dtype.kind != "f":
         x = x.astype(np.float64)
-    return np.fmax(2.0 - 2.0 * np.abs(x), 0.0)
+    out = np.abs(x, out=np.empty_like(x))
+    np.multiply(out, 2.0, out=out)
+    np.subtract(2.0, out, out=out)
+    return np.fmax(out, 0.0, out=out)
 
 
 def qb_backward(x, upstream):
@@ -60,9 +64,9 @@ def qb_backward(x, upstream):
 
 
 def hard_sign(z):
-    """Sign with ties and NaN to -1, in z's dtype: 2 * (z > 0) - 1."""
+    """Sign with ties and NaN to -1, in z's dtype and layout: 2 * (z > 0) - 1."""
     z = np.asarray(z)
-    out = (z > 0).astype(z.dtype)
+    out = np.greater(z, 0, out=np.empty_like(z))
     out *= 2
     out -= 1
     return out
@@ -96,8 +100,11 @@ class Tensor:
 
     def accumulate(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # 0 + g into the data's dtype and layout, as zeros_like then +=
+            # would round it (-0.0 becomes +0.0), in one pass.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def reshape(self, *shape):
         src_shape = self.data.shape
@@ -239,18 +246,25 @@ def binarize(x: Tensor, threshold: Tensor | None, surrogate: bool = False) -> Te
 
 def col2im(grad_cols: np.ndarray, x_shape: tuple, k: int, stride: int, pad: int,
            oh: int, ow: int) -> np.ndarray:
-    """Scatter-add column gradients back to the (padded, then cropped) input."""
+    """Scatter-add column gradients back to the (padded, then cropped) input.
+
+    The rows of grad_cols are (n, oh, ow) positions and its columns
+    (c, ki, kj), im2col's order, so the sum runs in a channel-last
+    (n, hp, wp, c) buffer: for each tap (ki, kj), in row-major order, one
+    strided add of the (n, oh, ow, c) slab at that tap. Each input pixel
+    sums its taps in the same order from 0.0 as an NCHW scatter would, so
+    the values are identical; the result is the cropped NCHW view of that
+    buffer, not a copy.
+    """
     n, c, h, w = x_shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    gx = np.zeros((n, c, hp, wp), dtype=grad_cols.dtype)
-    gc = grad_cols.reshape(n, oh, ow, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    gx = np.zeros((n, hp, wp, c), dtype=grad_cols.dtype)
+    gc = grad_cols.reshape(n, oh, ow, c, k, k)
     for ki in range(k):
         for kj in range(k):
-            gx[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
-                gc[:, :, :, :, ki, kj]
-    if pad:
-        gx = gx[:, :, pad:hp - pad, pad:wp - pad]
-    return gx
+            gx[:, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
+                gc[..., ki, kj]
+    return gx[:, pad:hp - pad, pad:wp - pad].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
@@ -299,7 +313,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         if w.requires_grad:
             gw = g2.T @ cols
             if scale is not None:
-                gw = gw * qb_grad(w.data.reshape(c_out, -1))
+                gw *= qb_grad(w.data.reshape(c_out, -1))
             w.accumulate(gw.reshape(w.data.shape))
 
     return Tensor(out, parents=(x, w), backward=bwd)

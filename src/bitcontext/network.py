@@ -28,6 +28,7 @@ from .config import iter_ini
 
 LAYER_KINDS = ("stem-conv", "binary-conv-3x3", "binary-conv-1x1", "binary-mlp",
                "downsample", "classifier")
+DYNAMIC_KINDS = ("binary-conv-3x3", "binary-conv-1x1", "downsample")
 
 CHECKPOINT_MAGIC = b"BCTX"
 CHECKPOINT_VERSION = 1
@@ -57,7 +58,7 @@ class LayerSpec:
     stride: int = 1
     kernel: int = 3
     dynamic: bool = False
-    branches: tuple = ("point", "short", "long")
+    branches: tuple = BRANCH_KINDS
     pool: bool = False
 
     def validate(self):
@@ -67,6 +68,13 @@ class LayerSpec:
             raise SpecError(f"{self.kind} needs positive out, stride and kernel")
         if self.pool and self.kind != "stem-conv":
             raise SpecError(f"{self.kind} cannot pool; only the stem-conv pools")
+        if self.dynamic and self.kind not in DYNAMIC_KINDS:
+            raise SpecError(f"{self.kind} has no dynamic thresholds; only "
+                            f"{', '.join(DYNAMIC_KINDS)} take dynamic = true")
+        if self.kind != "binary-mlp" and self.branches != BRANCH_KINDS:
+            raise SpecError(f"{self.kind} has no branches; only binary-mlp sets them")
+        if self.kind == "classifier" and self.stride != 1:
+            raise SpecError(f"classifier has no stride, got {self.stride}")
         if self.kind == "stem-conv" and self.kernel % 2 == 0:
             raise SpecError(f"stem-conv kernel must be odd, got {self.kernel}")
         if self.kind == "binary-mlp":
@@ -163,7 +171,7 @@ class NetworkSpec:
                     lines.append("pool = true")
             if ls.dynamic:
                 lines.append("dynamic = true")
-            if ls.kind == "binary-mlp" and ls.branches != ("point", "short", "long"):
+            if ls.branches != BRANCH_KINDS:
                 lines.append(f"branches = {','.join(ls.branches)}")
             lines.append("")
         return "\n".join(lines)
@@ -199,6 +207,8 @@ _EXPECTED = {_positive: "a positive integer", _hxw: "HxW of positive integers",
              _flag: "true or false"}
 # A classifier's width comes from [network] classes, so it needs no "out".
 _REQUIRED_KEYS = {"network": ("input", "classes"), "layer": ("kind", "out")}
+# Layer keys that only the listed kinds take; on any other kind they are an error.
+_KIND_ONLY_KEYS = {"kernel": ("stem-conv",), "branches": ("binary-mlp",)}
 
 
 def parse_network_spec(text: str) -> NetworkSpec:
@@ -235,15 +245,20 @@ def parse_network_spec(text: str) -> NetworkSpec:
     c = net.in_channels
     for ln, sec in layers:
         kind = sec["kind"]
-        if "kernel" in sec and kind != "stem-conv":
-            raise SpecError(f"line {ln}: {kind} has a fixed kernel; "
-                            "only the stem-conv sets one")
+        for key, kinds in _KIND_ONLY_KEYS.items():
+            if key in sec and kind not in kinds:
+                raise SpecError(f"line {ln}: {kind} takes no {key!r}; "
+                                f"only {', '.join(kinds)} sets it")
         c_out = net.classes if kind == "classifier" else sec["out"]
         ls = LayerSpec(kind=kind, c_in=c, c_out=c_out, stride=sec.get("stride", 1),
                        kernel=sec.get("kernel", 3), dynamic=sec.get("dynamic", False),
                        pool=sec.get("pool", False))
         if "branches" in sec:
             ls.branches = tuple(b.strip() for b in sec["branches"].split(","))
+        try:
+            ls.validate()
+        except SpecError as e:
+            raise SpecError(f"line {ln}: {e}") from None
         net.layers.append(ls)
         if kind != "classifier":
             c = ls.c_out

@@ -66,15 +66,24 @@ def cosine_lr(t: int, total: int, peak: float) -> float:
     return float(peak) * 0.5 * (1.0 + math.cos(math.pi * min(t, total) / total))
 
 
+# Elements per AdamW block: the chain's two scratch blocks and its slices of
+# g, m, v and p stay in cache while the thirteen operations run over them.
+BLOCK = 1 << 16
+
+
 class AdamW:
     """Adaptive moments with decoupled weight decay.
 
     The decay is applied to the parameter directly (not folded into the
     gradient): p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd * p).
-    The moments and the parameters are updated in place, through two scratch
-    arrays per tensor, with the same operations in the same order as that
-    formula, so each step rounds exactly as the out-of-place form does; the
-    gradients are only read.
+    The moments and the parameters are updated in place with the same
+    operations in the same order as that formula, so each step rounds
+    exactly as the out-of-place form does; the gradients are only read.
+    Every operation is elementwise, so a tensor whose gradient, moments and
+    values are all C-contiguous runs the chain over consecutive flat blocks
+    of BLOCK elements through two block-sized scratch arrays, which makes
+    one pass over memory instead of one per operation. Any other tensor
+    runs it once over the whole arrays.
     """
 
     def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -114,25 +123,39 @@ class AdamW:
         for k, p in self.params.items():
             if p.grad is None:
                 continue
-            g, m, v = p.grad, self.m[k], self.v[k]
-            a, b = np.empty_like(m), np.empty_like(m)
-            np.multiply(self.beta1, m, out=m)
-            np.multiply(1.0 - self.beta1, g, out=a)
-            np.add(m, a, out=m)                    # m = b1 * m + (1 - b1) * g
-            np.multiply(self.beta2, v, out=v)
-            np.multiply(g, g, out=a)
-            np.multiply(1.0 - self.beta2, a, out=a)
-            np.add(v, a, out=v)                    # v = b2 * v + (1 - b2) * (g * g)
-            np.divide(m, b1c, out=a)               # m_hat
-            np.divide(v, b2c, out=b)               # v_hat
-            np.sqrt(b, out=b)
-            np.add(b, self.eps, out=b)
-            np.divide(a, b, out=a)                 # update = m_hat / (sqrt(v_hat) + eps)
-            if self.weight_decay:
-                np.multiply(self.weight_decay, p.data, out=b)
-                np.add(a, b, out=a)
-            np.multiply(lr, a, out=a)
-            np.subtract(p.data, a, out=p.data)
+            arrays = (p.grad, self.m[k], self.v[k], p.data)
+            if not all(x.flags.c_contiguous for x in arrays):
+                a, b = np.empty_like(arrays[1]), np.empty_like(arrays[1])
+                self._chain(*arrays, a, b, lr, b1c, b2c)
+                continue
+            flat = [x.reshape(-1) for x in arrays]  # views: all C-contiguous
+            n = flat[1].size
+            a = np.empty(min(n, BLOCK), dtype=flat[1].dtype)
+            b = np.empty_like(a)
+            for i in range(0, n, BLOCK):
+                j = min(i + BLOCK, n)
+                self._chain(*(x[i:j] for x in flat), a[:j - i], b[:j - i],
+                            lr, b1c, b2c)
+
+    def _chain(self, g, m, v, p, a, b, lr, b1c, b2c):
+        """One AdamW update of p, m and v in place, with scratch a and b."""
+        np.multiply(self.beta1, m, out=m)
+        np.multiply(1.0 - self.beta1, g, out=a)
+        np.add(m, a, out=m)                    # m = b1 * m + (1 - b1) * g
+        np.multiply(self.beta2, v, out=v)
+        np.multiply(g, g, out=a)
+        np.multiply(1.0 - self.beta2, a, out=a)
+        np.add(v, a, out=v)                    # v = b2 * v + (1 - b2) * (g * g)
+        np.divide(m, b1c, out=a)               # m_hat
+        np.divide(v, b2c, out=b)               # v_hat
+        np.sqrt(b, out=b)
+        np.add(b, self.eps, out=b)
+        np.divide(a, b, out=a)                 # update = m_hat / (sqrt(v_hat) + eps)
+        if self.weight_decay:
+            np.multiply(self.weight_decay, p, out=b)
+            np.add(a, b, out=a)
+        np.multiply(lr, a, out=a)
+        np.subtract(p, a, out=p)
 
 
 def loss(logits, labels, smoothing: float = 0.0):

@@ -52,18 +52,25 @@ class TestQbBackward:
         assert abs(fd - got) / abs(fd) < 1e-4
 
 
+def _in_layout_of(x, values, dtype):
+    """values cast to dtype in a new array with x's memory layout."""
+    out = np.empty_like(x, dtype=dtype)
+    out[...] = values
+    return out
+
+
 def qb_grad_reference(x):
     """The three-pass form of qb_grad, kept as its oracle."""
     x = np.asarray(x)
     g = np.where(x < 0, 2.0 + 2.0 * x, 2.0 - 2.0 * x)
     g = np.where((x >= -1.0) & (x < 1.0), g, 0.0)
-    return g.astype(x.dtype if x.dtype.kind == "f" else np.float64)
+    return _in_layout_of(x, g, x.dtype if x.dtype.kind == "f" else np.float64)
 
 
 def hard_sign_reference(z):
     """The float64-temporary form of hard_sign, kept as its oracle."""
     z = np.asarray(z)
-    return np.where(z > 0, 1.0, -1.0).astype(z.dtype)
+    return _in_layout_of(z, np.where(z > 0, 1.0, -1.0), z.dtype)
 
 
 def edge_values(dtype):
@@ -78,11 +85,24 @@ def edge_values(dtype):
     return np.concatenate([vals, -vals, np.array([np.nan], dtype=dtype)])
 
 
+def stride_order(a):
+    """The axes longer than 1, from the slowest-varying in memory to the
+    fastest: the array's layout, whatever its shape."""
+    axes = [i for i in range(a.ndim) if a.shape[i] > 1]
+    return sorted(axes, key=lambda i: -abs(a.strides[i]))
+
+
 def assert_bit_identical(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == want.dtype and got.shape == want.shape
+    assert stride_order(got) == stride_order(want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert got.tobytes() == want.tobytes()
+
+
+def channel_last(x):
+    """An NCHW view of x's values whose memory is NHWC."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 class TestSignHelpersOracle:
@@ -122,6 +142,110 @@ class TestSignHelpersOracle:
         with np.errstate(over="ignore"):
             assert_bit_identical(ag.qb_grad(x), qb_grad_reference(x))
         assert_bit_identical(ag.hard_sign(x), hard_sign_reference(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    def test_channel_last_input_keeps_its_layout(self, dtype):
+        """Batch norm and pooling reduce in memory order, so each helper's
+        output keeps the layout of its input (here NHWC memory)."""
+        if dtype == np.int32:
+            flat = np.arange(-60, 60, dtype=dtype)
+        else:
+            flat = np.resize(edge_values(dtype), 120)
+        x = channel_last(flat.reshape(2, 3, 4, 5))
+        assert not x.flags.c_contiguous
+        with np.errstate(over="ignore"):
+            g = ag.qb_grad(x)
+            assert_bit_identical(g, qb_grad_reference(x))
+        s = ag.hard_sign(x)
+        assert_bit_identical(s, hard_sign_reference(x))
+        for out in (g, s):
+            assert stride_order(out) == stride_order(x) == [0, 2, 3, 1]
+
+    @given(hnp.arrays(st.sampled_from([np.float32, np.float64]),
+                      hnp.array_shapes(min_dims=2, max_dims=4, min_side=2,
+                                       max_side=5)),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_property_any_axis_order(self, x, rnd):
+        axes = list(range(x.ndim))
+        rnd.shuffle(axes)
+        x = x.transpose(axes)
+        with np.errstate(over="ignore"):
+            assert_bit_identical(ag.qb_grad(x), qb_grad_reference(x))
+        assert_bit_identical(ag.hard_sign(x), hard_sign_reference(x))
+
+
+def col2im_reference(grad_cols, x_shape, k, stride, pad, oh, ow):
+    """The NCHW scatter col2im used before the channel-last buffer, kept as
+    its oracle."""
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    gx = np.zeros((n, c, hp, wp), dtype=grad_cols.dtype)
+    gc = grad_cols.reshape(n, oh, ow, c, k, k).transpose(0, 3, 1, 2, 4, 5)
+    for ki in range(k):
+        for kj in range(k):
+            gx[:, :, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride] += \
+                gc[:, :, :, :, ki, kj]
+    if pad:
+        gx = gx[:, :, pad:hp - pad, pad:wp - pad]
+    return gx
+
+
+class TestCol2im:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [(5, 7), (6, 8)])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_nchw_scatter_reference(self, k, stride, pad, hw, dtype):
+        """Same sums in the same tap order: equal bit for bit, signed zeros
+        included, on values spread over many binades so that any other
+        summation order would round differently."""
+        rng = np.random.default_rng(k * 100 + stride * 10 + pad)
+        n, c = 2, 3
+        x = rng.normal(size=(n, c) + hw).astype(dtype)
+        cols, oh, ow = bt.im2col(x, k, stride, pad)
+        g = rng.normal(size=cols.shape) * 10.0 ** rng.integers(-8, 8, size=cols.shape)
+        g = g.astype(dtype)
+        g[rng.random(g.shape) < 0.1] = -0.0
+        got = ag.col2im(g, x.shape, k, stride, pad, oh, ow)
+        want = col2im_reference(g, x.shape, k, stride, pad, oh, ow)
+        assert stride_order(got) == [0, 2, 3, 1]  # a channel-last view
+        assert_bit_identical(np.ascontiguousarray(got), np.ascontiguousarray(want))
+
+
+class TestAccumulate:
+    """The first accumulate equals zeros_like(data) followed by +=."""
+
+    @staticmethod
+    def reference(data, g):
+        grad = np.zeros_like(data)
+        grad += g
+        return grad
+
+    @pytest.mark.parametrize("layout", ["nchw", "channel_last"])
+    @pytest.mark.parametrize("g_kind", ["same", "float64", "broadcast", "scalar"])
+    def test_first_touch_matches_zeros_then_add(self, layout, g_kind):
+        rng = np.random.default_rng(3)
+        data = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
+        if layout == "channel_last":
+            data = channel_last(data)
+        g = {"same": rng.normal(size=data.shape).astype(np.float32),
+             "float64": rng.normal(size=data.shape) * (1 + 1e-12),
+             "broadcast": rng.normal(size=(1, 3, 1, 1)).astype(np.float32),
+             "scalar": np.float64(-0.0)}[g_kind]
+        if g_kind != "scalar":
+            g.flat[::3] = -0.0
+        t = ag.Tensor(data, requires_grad=True)
+        t.accumulate(g)
+        want = self.reference(data, g)
+        assert_bit_identical(t.grad, want)
+        assert t.grad.dtype == np.float32
+        assert stride_order(t.grad) == stride_order(data)
+        assert not np.signbit(t.grad[t.grad == 0]).any()  # -0.0 became +0.0
+        t.accumulate(g)
+        want += g
+        assert_bit_identical(t.grad, want)
 
 
 class TestSignSte:

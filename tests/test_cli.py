@@ -198,6 +198,19 @@ class TestErrors:
         assert run(["count-ops", "--set", "network.spec_file=net.spec"]) == 2
         assert f"lacks required key '{key}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,key,message", [
+        ("binary-mlp", "dynamic = true", "binary-mlp has no dynamic thresholds"),
+        ("downsample", "branches = long,long,long", "downsample takes no 'branches'"),
+        ("classifier", "stride = 2", "classifier has no stride")])
+    def test_spec_file_key_the_layer_ignores_is_runtime_error(
+            self, tmp_path, monkeypatch, capsys, kind, key, message):
+        monkeypatch.chdir(tmp_path)
+        text = nw.desk_micro().to_text().replace(f"kind = {kind}\n",
+                                                 f"kind = {kind}\n{key}\n", 1)
+        (tmp_path / "net.spec").write_text(text)
+        assert run(["count-ops", "--set", "network.spec_file=net.spec"]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("labels,match", [
         (b"\x00\x00", "header needs 4 bytes"),
         (np.zeros(4, np.uint8), "10 images but 4 labels")])

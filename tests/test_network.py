@@ -181,6 +181,39 @@ class TestSpecs:
         with pytest.raises(nw.SpecError, match="line 12: binary-conv-3x3 .*kernel"):
             nw.parse_network_spec(text)
 
+    @pytest.mark.parametrize("kind,key,match", [
+        ("binary-mlp", "dynamic = true", "binary-mlp has no dynamic"),
+        ("stem-conv", "dynamic = true", "stem-conv has no dynamic"),
+        ("classifier", "dynamic = true", "classifier has no dynamic"),
+        ("classifier", "stride = 5", "classifier has no stride"),
+        ("binary-conv-3x3", "branches = point,short,long",
+         "binary-conv-3x3 takes no 'branches'"),
+        ("stem-conv", "branches = long,long,long", "stem-conv takes no 'branches'"),
+        ("classifier", "branches = point,point,point",
+         "classifier takes no 'branches'")])
+    def test_key_the_kind_ignores_names_its_line(self, kind, key, match):
+        """build would drop each of these keys, so each is a SpecError."""
+        with pytest.raises(nw.SpecError, match=f"line {_KIND_LINES[kind]}: {match}"):
+            nw.parse_network_spec(_kinds_spec_text(kind, key))
+
+    @pytest.mark.parametrize("kind,key", [
+        ("binary-conv-3x3", "dynamic = true"), ("binary-mlp", "dynamic = false"),
+        ("binary-mlp", "branches = long,point,short"), ("classifier", "stride = 1")])
+    def test_key_the_kind_takes_parses(self, kind, key):
+        spec = nw.parse_network_spec(_kinds_spec_text(kind, key))
+        assert nw.parse_network_spec(spec.to_text()) == spec
+        nw.build(spec)
+
+    @pytest.mark.parametrize("ls", [
+        nw.LayerSpec("binary-mlp", 8, 8, dynamic=True),
+        nw.LayerSpec("stem-conv", 3, 8, dynamic=True),
+        nw.LayerSpec("classifier", 8, 10, dynamic=True),
+        nw.LayerSpec("classifier", 8, 10, stride=2),
+        nw.LayerSpec("downsample", 8, 16, stride=2, branches=("long",) * 3)])
+    def test_programmatic_key_the_kind_ignores_rejected(self, ls):
+        with pytest.raises(nw.SpecError):
+            ls.validate()
+
     def test_programmatic_zero_stride_rejected(self):
         with pytest.raises(nw.SpecError, match="positive"):
             nw.LayerSpec("stem-conv", 3, 8, stride=0).validate()
@@ -205,6 +238,23 @@ def _stem_spec_text(h=32, w=32):
     return (f"[network]\ninput = {h}x{w}\nclasses = 10\nin_channels = 1\n\n"
             "[layer]\nkind = stem-conv\nout = 8\nstride = 2\nkernel = 3\n\n"
             "[layer]\nkind = classifier\n")
+
+
+# The [layer] header line of each layer in _kinds_spec_text.
+_KIND_LINES = {"stem-conv": 5, "binary-conv-3x3": 10, "binary-mlp": 13,
+               "classifier": 16}
+
+
+def _kinds_spec_text(kind, key):
+    """A stem, a binary-conv-3x3, a binary-mlp and a classifier, whose
+    headers are at _KIND_LINES, with key added to the layer of that kind."""
+    layers = [("stem-conv", "out = 8\nstride = 1\nkernel = 3\n"),
+              ("binary-conv-3x3", "out = 8\n"), ("binary-mlp", "out = 8\n"),
+              ("classifier", "")]
+    text = "[network]\ninput = 8x8\nclasses = 10\nin_channels = 1\n"
+    for k, body in layers:
+        text += f"[layer]\nkind = {k}\n{body}" + (f"{key}\n" if k == kind else "")
+    return text
 
 
 def _built_stem_hw(spec):

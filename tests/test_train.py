@@ -79,7 +79,10 @@ class TestAdamW:
         from bitcontext import autograd as ag
         rng = np.random.default_rng(11)
         shapes = {"conv": (8, 4, 3, 3), "fc": (5, 7), "bias": (6,),
-                  "one": (1,), "frozen": (3, 3)}
+                  "one": (1,), "frozen": (3, 3),
+                  # three blocks, the last one ragged; two blocks of a conv bank
+                  "long": (2 * tr.BLOCK + 37,), "wide_conv": (128, 64, 3, 3)}
+        assert np.prod(shapes["wide_conv"]) > tr.BLOCK
         init = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
         ours = {k: ag.param(a.copy()) for k, a in init.items()}
         refs = {k: ag.param(a.copy()) for k, a in init.items()}
@@ -103,6 +106,40 @@ class TestAdamW:
             assert opt.v[k].tobytes() == ref.v[k].tobytes()
         assert np.array_equal(ours["frozen"].data, init["frozen"])
         assert not opt.m["frozen"].any() and not opt.v["frozen"].any()
+
+    @pytest.mark.parametrize("case", ["cropped_data", "transposed_data",
+                                      "transposed_grad"])
+    def test_non_contiguous_tensor_updates_in_place(self, case):
+        """A parameter that is a cropped or transposed view, or whose
+        gradient has another layout than its values, cannot be walked as
+        one flat block sequence. Its update still lands in the caller's
+        array, equal to the reference."""
+        from bitcontext import autograd as ag
+        rng = np.random.default_rng(12)
+        base = rng.normal(size=(300, 301)).astype(np.float32)
+        owners = (base.copy(), base.copy())
+        if case == "cropped_data":  # rows 301 apart: no flat view exists
+            views = tuple(o[:, 1:] for o in owners)
+        elif case == "transposed_data":
+            views = tuple(o.T for o in owners)
+        else:
+            views = owners
+        ours, refs = ag.param(views[0]), ag.param(views[1])
+        assert np.shares_memory(ours.data, owners[0])
+        opt = tr.AdamW({"p": ours}, weight_decay=1e-2)
+        ref = ReferenceAdamW({"p": refs}, weight_decay=1e-2)
+        for _ in range(3):
+            g = rng.normal(size=views[0].shape).astype(np.float32)
+            if case == "transposed_grad":
+                g = np.asfortranarray(g)
+            ours.grad, refs.grad = g.copy(order="K"), g
+            opt.step(1e-2)
+            ref.step(1e-2)
+        assert ours.data.tobytes() == refs.data.tobytes()
+        assert opt.m["p"].tobytes() == ref.m["p"].tobytes()
+        assert opt.v["p"].tobytes() == ref.v["p"].tobytes()
+        assert owners[0].tobytes() == owners[1].tobytes()
+        assert not np.array_equal(owners[0], base)
 
     def test_single_parameter_closed_form(self):
         from bitcontext import autograd as ag
