@@ -391,21 +391,46 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
     return Tensor(out, parents=(x, gamma, beta), backward=bwd)
 
 
+def _select(cond, a, out):
+    """out = np.where(cond, a, out), in place and without branching.
+
+    A data-dependent mask makes np.where branch per element; this runs on
+    the integer view of the bits instead, out ^= (a ^ out) * cond, so every
+    value, signed zeros, infinities and NaN payloads included, comes out as
+    np.where gives it. a is cast to out's dtype first, as np.where would
+    promote it. Returns out, so that a caller can pass it on as the
+    temporary that np.where would have returned.
+    """
+    u = np.dtype(f"u{out.dtype.itemsize}")
+    bits = out.view(u)
+    diff = np.bitwise_xor(np.asarray(a, dtype=out.dtype).view(u), bits)
+    np.multiply(diff, cond, out=diff)
+    bits ^= diff
+    return out
+
+
 def rprelu(x: Tensor, shift_in: Tensor, slope: Tensor, shift_out: Tensor) -> Tensor:
-    """Per-channel parametric activation: prelu(x - a) + b."""
+    """Per-channel parametric activation: prelu(x - a) + b.
+
+    The three selects run through _select, so the values, and the layouts
+    that the channel sums reduce in, are those of the np.where form.
+    """
     t = x.data - shift_in.data[None, :, None, None]
     pos = t > 0
-    out = np.where(pos, t, slope.data[None, :, None, None] * t) + \
-        shift_out.data[None, :, None, None]
+    out = _select(pos, t, slope.data[None, :, None, None] * t)
+    out += shift_out.data[None, :, None, None]
 
     def bwd(g, x=x, shift_in=shift_in, slope=slope, shift_out=shift_out, t=t, pos=pos):
-        dt = g * np.where(pos, 1.0, slope.data[None, :, None, None]).astype(g.dtype)
+        # np.where(pos, 1.0, slope) in g's dtype and pos's layout, handed to
+        # the product as a temporary, as the np.where form's was.
+        dt = g * _select(pos, 1.0, np.positive(slope.data[None, :, None, None],
+                                               out=np.empty_like(pos, dtype=g.dtype)))
         if x.requires_grad:
             x.accumulate(dt)
         if shift_in.requires_grad:
             shift_in.accumulate(-dt.sum(axis=(0, 2, 3)))
         if slope.requires_grad:
-            slope.accumulate((g * np.where(pos, 0.0, t)).sum(axis=(0, 2, 3)))
+            slope.accumulate((g * _select(pos, 0.0, np.copy(t))).sum(axis=(0, 2, 3)))
         if shift_out.requires_grad:
             shift_out.accumulate(g.sum(axis=(0, 2, 3)))
 

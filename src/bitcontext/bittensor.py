@@ -48,6 +48,7 @@ import numpy as np
 
 WORD_BITS = 64
 TILE_ELEMS = 1 << 16  # outputs per gemm row tile: 512 KB of XOR words, cache-sized
+IM2COL_CHUNK = 1 << 18  # im2col output elements gathered per batch chunk
 _USABLE_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                  else os.cpu_count() or 1)
 
@@ -244,22 +245,40 @@ def binary_gemm(a: BitTensor, w: BitTensor, scale: np.ndarray) -> np.ndarray:
 def im2col(x: np.ndarray, k: int, stride: int, pad: int, pad_value=0):
     """Gather k x k windows of an NCHW array into rows of length c*k*k
     (channel-major, then kernel row, then kernel column), one row per
-    output position; padding pixels take pad_value. Returns (cols, oh, ow).
+    output position; padding pixels take pad_value. Returns (cols, oh, ow)
+    with cols a C-contiguous (n*oh*ow, c*k*k) array.
 
     Both routes gather windows here: autograd.conv2d on float values and
     binary_conv2d on channel words, where padding 0 is an all -1 pixel.
+    The input is written once into a channel-last padded buffer, then each
+    of the k*k taps is copied whole-channel into an (n, oh, ow, c, k, k)
+    array, IM2COL_CHUNK elements of it at a time, so that a chunk stays in
+    cache across its taps. A 1x1 stride-1 unpadded gather is a reshape: a
+    view of x when x is channel-last in memory, as conv outputs are.
     """
     n, c, h, w = x.shape
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if hp < k or wp < k:
+        raise DimensionError(f"kernel {k} exceeds padded input {hp}x{wp}")
+    oh, ow = (hp - k) // stride + 1, (wp - k) // stride + 1
+    if k == 1 and pad == 0:
+        rows = x[:, :, ::stride, ::stride].transpose(0, 2, 3, 1)
+        return np.ascontiguousarray(rows).reshape(n * oh * ow, c), oh, ow
+    xp = np.empty((n, hp, wp, c), dtype=x.dtype)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                   constant_values=pad_value)
-    if x.shape[2] < k or x.shape[3] < k:
-        raise DimensionError(f"kernel {k} exceeds padded input {x.shape[2]}x{x.shape[3]}")
-    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (n, c, oh, ow, k, k)
-    oh, ow = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k)
-    return np.ascontiguousarray(cols), oh, ow
+        fill = np.asarray(pad_value)  # cast as an array, so -1 is all ones in words
+        xp[:, :pad] = xp[:, hp - pad:] = fill
+        xp[:, pad:hp - pad, :pad] = xp[:, pad:hp - pad, wp - pad:] = fill
+    xp[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    cols = np.empty((n, oh, ow, c, k, k), dtype=x.dtype)
+    step = max(1, IM2COL_CHUNK // max(1, oh * ow * c * k * k))  # samples per chunk
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        for ki in range(k):
+            for kj in range(k):
+                cols[lo:hi, :, :, :, ki, kj] = \
+                    xp[lo:hi, ki:ki + stride * oh:stride, kj:kj + stride * ow:stride]
+    return cols.reshape(n * oh * ow, c * k * k), oh, ow
 
 
 def binary_conv2d(a: BitTensor, w: BitTensor, scale: np.ndarray,

@@ -83,7 +83,10 @@ class AdamW:
     values are all C-contiguous runs the chain over consecutive flat blocks
     of BLOCK elements through two block-sized scratch arrays, which makes
     one pass over memory instead of one per operation. Any other tensor
-    runs it once over the whole arrays.
+    runs it once over the whole arrays. The chain also takes the maximum of
+    each new second moment while it is in cache; v_max[k] is that of v[k]
+    as the last step left it (NaN if any element is NaN), which is all
+    that overflows needs to read of v.
     """
 
     def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -94,10 +97,12 @@ class AdamW:
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v_max = {k: 0.0 for k in params}
 
     def overflows(self) -> bool:
         """True when the next step's bias-corrected second-moment estimate
-        would not be finite: a gradient is non-finite or too large."""
+        would not be finite: a gradient is non-finite or too large. It
+        reads the gradients and the recorded maxima of the second moments."""
         b2c = 1.0 - self.beta2 ** (self.t + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for k, p in self.params.items():
@@ -108,7 +113,7 @@ class AdamW:
                 # intermediate are at most max(v, g * g), up to rounding the
                 # halved limit absorbs; a float sum of squares is no less
                 # than its largest term.
-                bound = max(float(v.max()), float(np.vdot(g, g)))
+                bound = max(self.v_max[k], float(np.vdot(g, g)))
                 if bound / b2c < 0.5 * float(np.finfo(v.dtype).max):
                     continue
                 v_hat = (self.beta2 * v + (1.0 - self.beta2) * (g * g)) / b2c
@@ -126,19 +131,22 @@ class AdamW:
             arrays = (p.grad, self.m[k], self.v[k], p.data)
             if not all(x.flags.c_contiguous for x in arrays):
                 a, b = np.empty_like(arrays[1]), np.empty_like(arrays[1])
-                self._chain(*arrays, a, b, lr, b1c, b2c)
+                self.v_max[k] = float(self._chain(*arrays, a, b, lr, b1c, b2c))
                 continue
             flat = [x.reshape(-1) for x in arrays]  # views: all C-contiguous
             n = flat[1].size
             a = np.empty(min(n, BLOCK), dtype=flat[1].dtype)
             b = np.empty_like(a)
+            tops = []
             for i in range(0, n, BLOCK):
                 j = min(i + BLOCK, n)
-                self._chain(*(x[i:j] for x in flat), a[:j - i], b[:j - i],
-                            lr, b1c, b2c)
+                tops.append(self._chain(*(x[i:j] for x in flat), a[:j - i], b[:j - i],
+                                        lr, b1c, b2c))
+            self.v_max[k] = float(np.max(tops))  # NaN if any block's is
 
     def _chain(self, g, m, v, p, a, b, lr, b1c, b2c):
-        """One AdamW update of p, m and v in place, with scratch a and b."""
+        """One AdamW update of p, m and v in place, with scratch a and b;
+        returns the maximum of the new v."""
         np.multiply(self.beta1, m, out=m)
         np.multiply(1.0 - self.beta1, g, out=a)
         np.add(m, a, out=m)                    # m = b1 * m + (1 - b1) * g
@@ -146,6 +154,7 @@ class AdamW:
         np.multiply(g, g, out=a)
         np.multiply(1.0 - self.beta2, a, out=a)
         np.add(v, a, out=v)                    # v = b2 * v + (1 - b2) * (g * g)
+        top = v.max()
         np.divide(m, b1c, out=a)               # m_hat
         np.divide(v, b2c, out=b)               # v_hat
         np.sqrt(b, out=b)
@@ -156,6 +165,7 @@ class AdamW:
             np.add(a, b, out=a)
         np.multiply(lr, a, out=a)
         np.subtract(p, a, out=p)
+        return top
 
 
 def loss(logits, labels, smoothing: float = 0.0):

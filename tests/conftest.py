@@ -27,6 +27,11 @@ def dense_conv_oracle(a, w, scale, stride, pad, pad_value=-1.0):
     return out
 
 
+def channel_last(x):
+    """An NCHW view of x's values whose memory is NHWC, as conv outputs are."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
 def reconstruct_oracle(x, offsets):
     """Position-by-position gather of channel quartiles; x is NCHW ndarray."""
     n, c, h, w = x.shape

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from bitcontext import autograd as ag
 from bitcontext import bittensor as bt
-from conftest import central_difference
+from conftest import central_difference, channel_last
 
 
 class TestQbForward:
@@ -98,11 +98,6 @@ def assert_bit_identical(got, want):
     assert stride_order(got) == stride_order(want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert got.tobytes() == want.tobytes()
-
-
-def channel_last(x):
-    """An NCHW view of x's values whose memory is NHWC."""
-    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 class TestSignHelpersOracle:
@@ -212,6 +207,74 @@ class TestCol2im:
         want = col2im_reference(g, x.shape, k, stride, pad, oh, ow)
         assert stride_order(got) == [0, 2, 3, 1]  # a channel-last view
         assert_bit_identical(np.ascontiguousarray(got), np.ascontiguousarray(want))
+
+
+def rprelu_reference(x, shift_in, slope, shift_out, g):
+    """The three-np.where form of rprelu, kept as its oracle: the forward,
+    the gradient reaching x, and the three channel gradients."""
+    t = x - shift_in[None, :, None, None]
+    pos = t > 0
+    out = np.where(pos, t, slope[None, :, None, None] * t) + shift_out[None, :, None, None]
+    dt = g * np.where(pos, 1.0, slope[None, :, None, None]).astype(g.dtype)
+    return (out, dt, -dt.sum(axis=(0, 2, 3)),
+            (g * np.where(pos, 0.0, t)).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3)))
+
+
+class TestRprelu:
+    """rprelu's branch-free selects equal the np.where form bit for bit,
+    values and layouts (the channel sums reduce in memory order)."""
+
+    @staticmethod
+    def accumulated(data, g):
+        t = ag.Tensor(data, requires_grad=True)
+        t.accumulate(g)
+        return t.grad
+
+    @pytest.mark.parametrize("g_layout", ["nchw", "channel_last"])
+    @pytest.mark.parametrize("x_layout", ["nchw", "channel_last"])
+    @pytest.mark.parametrize("shape", [(2, 4, 3, 5), (4, 8, 32, 33)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_where_reference(self, dtype, shape, x_layout, g_layout):
+        """The larger shape is past numpy's temporary-reuse size, so both
+        ways a product can be laid out are covered."""
+        rng = np.random.default_rng(11)
+        c = shape[1]
+        edges = edge_values(dtype)
+        x = rng.normal(size=shape).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        x.flat[::3] = np.resize(edges, x.flat[::3].size)
+        g.flat[1::4] = np.resize(edges[::-1], g.flat[1::4].size)
+        shift_in = rng.normal(size=c).astype(dtype)
+        shift_in[::2] = 0.0  # t = x exactly there, edge values included
+        slope = np.resize(np.array([0.25, 0.0, -0.0, -1.5], dtype), c)
+        shift_out = np.resize(np.array([0.5, -0.0, 0.0, -2.0], dtype), c)
+        if x_layout == "channel_last":
+            x = channel_last(x)
+        if g_layout == "channel_last":
+            g = channel_last(g)
+        xs = ag.Tensor(x, requires_grad=True)
+        params = [ag.Tensor(p, requires_grad=True) for p in (shift_in, slope, shift_out)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = ag.rprelu(xs, *params)
+            y._backward(g)
+            want = rprelu_reference(x, shift_in, slope, shift_out, g)
+        assert_bit_identical(y.data, want[0])
+        assert_bit_identical(xs.grad, self.accumulated(x, want[1]))
+        for p, w in zip(params, want[2:]):
+            assert_bit_identical(p.grad, self.accumulated(p.data, w))
+        assert np.isnan(y.data).any() and np.isnan(xs.grad).any()
+
+    def test_select_keeps_every_bit(self):
+        """_select against np.where on every class of float32 bits, NaN
+        payloads and signed zeros included."""
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 2 ** 32, size=4096, dtype=np.uint32).view(np.float32)
+        b = rng.integers(0, 2 ** 32, size=4096, dtype=np.uint32).view(np.float32)
+        cond = rng.random(4096) < 0.5
+        want = np.where(cond, a, b)
+        got = ag._select(cond, a, b.copy())
+        assert got.tobytes() == want.tobytes()
+        assert ag._select(cond, 1.0, b.copy()).tobytes() == np.where(cond, np.float32(1.0), b).tobytes()
 
 
 class TestAccumulate:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bitcontext import autograd as ag
 from bitcontext import bittensor as bt
-from conftest import binarize_oracle, dense_conv_oracle
+from conftest import binarize_oracle, channel_last, dense_conv_oracle
 
 
 class TestPack:
@@ -272,6 +272,68 @@ class TestBinaryGemm:
             for logits in got:
                 assert np.array_equal(logits, expected)
         assert all(p.requires_grad for p in net.params().values())
+
+
+def im2col_reference(x, k, stride, pad, pad_value=0):
+    """The sliding-window im2col used before the tap loop, kept as its
+    oracle: np.pad, then a transposed window view copied out."""
+    n, c, h, w = x.shape
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
+                   constant_values=pad_value)
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]  # (n, c, oh, ow, k, k)
+    oh, ow = win.shape[2], win.shape[3]
+    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * k * k)
+    return np.ascontiguousarray(cols), oh, ow
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("pad_value", [0, -1])
+    @pytest.mark.parametrize("layout", ["nchw", "channel_last"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint64])
+    def test_matches_sliding_window_reference(self, dtype, layout, pad_value):
+        """Bit for bit, C-contiguous, over k, stride, pad, channel counts
+        on both sides of a word and odd and even sizes."""
+        rng = np.random.default_rng(7)
+        for k in (1, 3):
+            for stride in (1, 2):
+                for pad in (0, 1):
+                    for c in (1, 3, 8, 64):
+                        for hw in ((5, 7), (6, 8)):
+                            shape = (2, c) + hw
+                            if dtype == np.uint64:
+                                x = rng.integers(0, 2 ** 64, size=shape, dtype=np.uint64)
+                            else:
+                                x = rng.normal(size=shape).astype(dtype)
+                                x.flat[::5] = -0.0
+                            if layout == "channel_last":
+                                x = channel_last(x)
+                            got = bt.im2col(x, k, stride, pad, pad_value)
+                            want = im2col_reference(x, k, stride, pad, pad_value)
+                            case = (k, stride, pad, c, hw)
+                            assert got[1:] == want[1:], case
+                            assert got[0].dtype == want[0].dtype, case
+                            assert got[0].shape == want[0].shape, case
+                            assert got[0].flags.c_contiguous, case
+                            assert got[0].tobytes() == want[0].tobytes(), case
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint64])
+    def test_1x1_gather_of_channel_last_input_is_a_view(self, dtype):
+        """A stride-1 unpadded 1x1 gather of an NHWC-memory input copies
+        nothing: copying it raises the float route's peak memory."""
+        x = channel_last(np.arange(2 * 8 * 5 * 7).reshape(2, 8, 5, 7).astype(dtype))
+        cols, oh, ow = bt.im2col(x, 1, 1, 0)
+        assert (oh, ow) == (5, 7) and cols.shape == (70, 8)
+        assert cols.flags.c_contiguous and np.shares_memory(cols, x)
+        assert cols.tobytes() == im2col_reference(x, 1, 1, 0)[0].tobytes()
+        for k, stride, pad in ((1, 2, 0), (1, 1, 1), (3, 1, 1)):
+            assert not np.shares_memory(bt.im2col(x, k, stride, pad)[0], x)
+
+    def test_kernel_larger_than_padded_input(self):
+        with pytest.raises(bt.DimensionError):
+            bt.im2col(np.zeros((1, 2, 2, 4)), 3, 1, 0)
+        assert bt.im2col(np.zeros((1, 2, 1, 2)), 3, 1, 1)[0].shape == (2, 18)
 
 
 class TestBinaryConv2d:

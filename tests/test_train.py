@@ -141,6 +141,54 @@ class TestAdamW:
         assert owners[0].tobytes() == owners[1].tobytes()
         assert not np.array_equal(owners[0], base)
 
+    def test_recorded_second_moment_maximum(self):
+        """step records each v's maximum as it leaves it, across blocks, for
+        a tensor that runs unblocked, and NaN when any element is NaN."""
+        from bitcontext import autograd as ag
+        rng = np.random.default_rng(13)
+        params = {"long": ag.param(np.zeros(2 * tr.BLOCK + 37)),
+                  "view": ag.param(np.zeros((300, 301), np.float32)[:, 1:]),
+                  "frozen": ag.param(np.zeros(3))}
+        assert not params["view"].data.flags.c_contiguous  # runs unblocked
+        opt = tr.AdamW(params)
+        assert opt.v_max == {"long": 0.0, "view": 0.0, "frozen": 0.0}
+        for t in range(3):
+            for k in ("long", "view"):
+                g = rng.normal(size=params[k].data.shape).astype(np.float32)
+                g.flat[rng.integers(g.size)] = 100.0 * (t + 1)  # one block's peak
+                params[k].grad = g
+            opt.step(1e-3)
+            for k in ("long", "view"):
+                assert opt.v_max[k] == float(opt.v[k].max()), (t, k)
+        assert opt.v_max["frozen"] == 0.0
+        params["long"].grad.flat[tr.BLOCK + 5] = np.nan
+        opt.step(1e-3)
+        assert np.isnan(opt.v_max["long"]) and not np.isnan(opt.v_max["view"])
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_second_moments_alone_trip_the_guard(self, bad):
+        """A step the guard did not vet leaves an infinite or NaN second
+        moment; the next guard sees it through the recorded maximum though
+        the gradient it is given is small."""
+        from bitcontext import autograd as ag
+        params = {"p": ag.param(np.ones(2 * tr.BLOCK + 3)), "q": ag.param(np.ones(4))}
+        opt = tr.AdamW(params)
+        small = {k: np.full(p.data.shape, 1e-3, np.float32) for k, p in params.items()}
+        for k, p in params.items():
+            p.grad = small[k].copy()
+        assert not opt.overflows()
+        params["p"].grad[tr.BLOCK + 1] = bad  # inf makes g * g and v inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            opt.step(1e-3)
+        assert not np.isfinite(opt.v["p"]).all()
+        for k, p in params.items():
+            p.grad = small[k].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert opt.overflows()
+        fresh = tr.AdamW(params)
+        fresh.t = opt.t
+        assert not fresh.overflows()  # the same gradients, finite moments
+
     def test_single_parameter_closed_form(self):
         from bitcontext import autograd as ag
         p = ag.param(np.array([2.0]), dtype=np.float64)
