@@ -79,90 +79,94 @@ def _dataset_root(cfg) -> str:
     return root
 
 
+# Synthetic dataset name -> (image size, channels).
+_SYNTHETIC = {"pairs32": (32, 3), "pairs16": (16, 1)}
+
+
 def _load_data(cfg, split_key):
+    """Load a split, first writing [data] synthetic if no split has files."""
     root = _dataset_root(cfg)
     dcfg = cfg["data"]
     synth = dcfg["synthetic"]
-    if synth != "none" and not os.path.exists(
-            os.path.join(root, f"{dcfg['train_split']}.bin")) \
-            and not os.path.exists(
-            os.path.join(root, f"{dcfg['train_split']}-images.idx")):
-        if synth == "pairs32":
-            dt.write_synthetic_dir(root, dcfg["n_train"], dcfg["n_test"],
-                                   size=32, channels=3, seed=dcfg["seed"])
-        elif synth == "pairs16":
-            dt.write_synthetic_dir(root, dcfg["n_train"], dcfg["n_test"],
-                                   size=16, channels=1, seed=dcfg["seed"])
-        else:
+    if synth != "none" and not any(dt.split_files(root, dcfg[k])
+                                   for k in ("train_split", "eval_split")):
+        if synth not in _SYNTHETIC:
             raise RuntimeFailure(f"unknown synthetic dataset {synth!r}")
+        size, channels = _SYNTHETIC[synth]
+        dt.write_synthetic_dir(root, dcfg["n_train"], dcfg["n_test"],
+                               size=size, channels=channels, seed=dcfg["seed"])
     try:
         return dt.load_dir(root, dcfg[split_key])
     except (OSError, ValueError) as e:
         raise RuntimeFailure(f"dataset: {e}") from None
 
 
-def _write_manifest(output, cfg, command):
+def _write_manifest(args, cfg):
     manifest = {
-        "command": command,
+        "command": args.verb,
         "config_sha256": config_digest(cfg),
         "seed": cfg["run"]["seed"],
         "bitcontext_version": __version__,
         "numpy_version": np.__version__,
     }
-    with open(f"{output}.manifest.json", "w") as f:
+    with open(f"{args.output}.manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def _emit(text, output):
-    if output:
-        with open(output, "w") as f:
+def _emit(text, args, cfg):
+    """Write text and its manifest to --output, else print it."""
+    if args.output:
+        with open(args.output, "w") as f:
             f.write(text + "\n")
+        _write_manifest(args, cfg)
     else:
         print(text)
+
+
+def _train_config(cfg, step, train_data) -> tr.TrainConfig:
+    """Training step `step` as configured: step 1 reads [train], any other
+    [train2]; seeded run.seed + step. A kd_weight > 0 needs kd_logits, one
+    row of teacher logits per training image."""
+    section = "train" if step == 1 else "train2"
+    scfg = cfg[section]
+    teacher = None
+    if scfg["kd_logits"]:
+        try:
+            teacher = np.load(scfg["kd_logits"])
+        except OSError as e:
+            raise RuntimeFailure(f"teacher logits: {e}") from None
+        if teacher.shape != (len(train_data), train_data.classes):
+            raise RuntimeFailure(
+                f"teacher logits shape {teacher.shape} does not match "
+                f"{len(train_data)} x {train_data.classes}")
+    elif scfg["kd_weight"] > 0.0:
+        raise ConfigError(f"{section}.kd_weight = {scfg['kd_weight']} needs "
+                          f"{section}.kd_logits")
+    # Every other train-section key is a TrainConfig field of the same name.
+    return tr.TrainConfig(step=step, seed=cfg["run"]["seed"] + step,
+                          teacher_logits=teacher,
+                          **{k: v for k, v in scfg.items() if k != "kd_logits"})
 
 
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     spec = _network_spec(cfg)
     train_data = _load_data(cfg, "train_split")
-    seed = cfg["run"]["seed"]
-    net = nw.build(spec, seed=seed)
+    net = nw.build(spec, seed=cfg["run"]["seed"])
     if args.init:
         nw.load_into(net, args.init, allow_missing=True)
     steps = [int(s) for s in args.steps.split(",")] if args.steps else \
         [1, 2] if "train2" in cfg["__sections__"] or not args.init else [2]
-    state = None
     history = []
-    for step in steps:
-        section = "train" if step == 1 else "train2"
-        scfg = cfg[section]
-        teacher = None
-        if scfg["kd_logits"]:
-            try:
-                teacher = np.load(scfg["kd_logits"])
-            except OSError as e:
-                raise RuntimeFailure(f"teacher logits: {e}") from None
-            if teacher.shape != (len(train_data), train_data.classes):
-                raise RuntimeFailure(
-                    f"teacher logits shape {teacher.shape} does not match "
-                    f"{len(train_data)} x {train_data.classes}")
-        tcfg = tr.TrainConfig(step=step, iterations=scfg["iterations"],
-                              batch_size=scfg["batch_size"], lr=scfg["lr"],
-                              weight_decay=scfg["weight_decay"],
-                              smoothing=scfg["smoothing"], seed=seed + step,
-                              augment=scfg["augment"], teacher_logits=teacher,
-                              kd_weight=scfg["kd_weight"])
-        if step == 1:
-            state, res = tr.train_step1(net, train_data, tcfg)
-        else:
-            state, res = tr.train_step2(net, state, train_data, tcfg)
-        history.extend((step, i, v) for i, v in enumerate(res.loss_history))
+    for tcfg in [_train_config(cfg, step, train_data) for step in steps]:
+        res = tr.train_step(net, train_data, tcfg)
+        history.extend((tcfg.step, i, v) for i, v in enumerate(res.loss_history))
         last = np.mean(res.loss_history[-10:]) if res.loss_history else float("nan")
-        print(f"step {step}: {len(res.loss_history)} iterations, "
+        print(f"step {tcfg.step}: {len(res.loss_history)} iterations, "
               f"final loss {last:.4f}")
     nw.save(net, args.output)
-    _write_manifest(args.output, cfg, "train")
+    _write_manifest(args, cfg)
     if args.history:
         with open(args.history, "w") as f:
             f.write("step\titeration\tloss\n")
@@ -178,9 +182,7 @@ def cmd_eval(args) -> int:
     eval_data = _load_data(cfg, "eval_split")
     m = tr.evaluate(net, eval_data, packed=args.packed)
     _emit("\t".join(["top1", "top5", "loss", "n"]) + "\n" +
-          f"{m.top1:.6f}\t{m.top5:.6f}\t{m.loss:.6f}\t{m.n}", args.output)
-    if args.output:
-        _write_manifest(args.output, cfg, "eval")
+          f"{m.top1:.6f}\t{m.top5:.6f}\t{m.loss:.6f}\t{m.n}", args, cfg)
     return 0
 
 
@@ -189,9 +191,7 @@ def cmd_count_ops(args) -> int:
     spec = _network_spec(cfg)
     report = costmodel.count_network(spec, mac_ops=args.mac_ops)
     text = report.to_delimited() if args.format == "tsv" else report.to_text()
-    _emit(text, args.output)
-    if args.output:
-        _write_manifest(args.output, cfg, "count-ops")
+    _emit(text, args, cfg)
     return 0
 
 
@@ -199,9 +199,7 @@ def cmd_analyze_binerr(args) -> int:
     cfg = _load_cfg(args)
     net = nw.load(args.checkpoint)
     report = analysis.per_branch_report(net, mode=args.mode)
-    _emit(report.to_delimited(), args.output)
-    if args.output:
-        _write_manifest(args.output, cfg, "analyze-binerr")
+    _emit(report.to_delimited(), args, cfg)
     return 0
 
 
@@ -218,17 +216,7 @@ def cmd_sweep(args) -> int:
     if cfg["sweep"]["train"]:
         train_data = _load_data(cfg, "train_split")
         eval_data = _load_data(cfg, "eval_split")
-        s1, s2 = cfg["train"], cfg["train2"]
-        cfg1 = tr.TrainConfig(step=1, iterations=s1["iterations"],
-                              batch_size=s1["batch_size"], lr=s1["lr"],
-                              weight_decay=s1["weight_decay"],
-                              smoothing=s1["smoothing"], seed=cfg["run"]["seed"],
-                              augment=s1["augment"])
-        cfg2 = tr.TrainConfig(step=2, iterations=s2["iterations"],
-                              batch_size=s2["batch_size"], lr=s2["lr"],
-                              weight_decay=s2["weight_decay"],
-                              smoothing=s2["smoothing"],
-                              seed=cfg["run"]["seed"] + 1, augment=s2["augment"])
+        cfg1, cfg2 = (_train_config(cfg, step, train_data) for step in (1, 2))
     rows = tr.sweep_replacement(points, (base * (1 - band), base * (1 + band)),
                                 base_spec=base_spec,
                                 classes=cfg["network"]["classes"],
@@ -238,18 +226,14 @@ def cmd_sweep(args) -> int:
     lines = ["\t".join(cols)]
     for r in rows:
         lines.append("\t".join(str(r[c]) for c in cols))
-    _emit("\n".join(lines), args.output)
-    if args.output:
-        _write_manifest(args.output, cfg, "sweep")
+    _emit("\n".join(lines), args, cfg)
     return 0
 
 
 def cmd_export_spec(args) -> int:
     cfg = _load_cfg(args)
     spec = _network_spec(cfg)
-    _emit(spec.to_text().rstrip("\n"), args.output)
-    if args.output:
-        _write_manifest(args.output, cfg, "export-spec")
+    _emit(spec.to_text().rstrip("\n"), args, cfg)
     return 0
 
 

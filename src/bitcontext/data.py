@@ -117,16 +117,28 @@ def read_cifar_bin(path):
 # directory loading
 
 
-def load_dir(root, split: str) -> Dataset:
-    """Load a dataset directory; IDX pairs or CIFAR .bin files.
+def split_files(root, split: str) -> list:
+    """The files that hold a split under root, [] when there are none.
 
     IDX naming: <split>-images.idx + <split>-labels.idx, one label per image.
-    CIFAR naming: <split>*.bin (all matching files concatenated).
+    CIFAR naming: <split>*.bin (all matching files, in name order).
     """
-    idx_images = os.path.join(root, f"{split}-images.idx")
-    if os.path.exists(idx_images):
-        images = read_idx(idx_images)
-        labels = read_idx(os.path.join(root, f"{split}-labels.idx")).astype(np.int64)
+    idx = [os.path.join(root, f"{split}-{part}.idx") for part in ("images", "labels")]
+    if os.path.exists(idx[0]):
+        return idx
+    names = sorted(os.listdir(root)) if os.path.isdir(root) else []
+    return [os.path.join(root, f) for f in names
+            if f.startswith(split) and f.endswith(".bin")]
+
+
+def load_dir(root, split: str) -> Dataset:
+    """Load a split's IDX pair, or its CIFAR .bin files concatenated."""
+    files = split_files(root, split)
+    if not files:
+        raise FileNotFoundError(f"no {split!r} files under {root}")
+    if files[0].endswith(".idx"):
+        images = read_idx(files[0])
+        labels = read_idx(files[1]).astype(np.int64)
         if len(images) != len(labels):
             raise ValueError(f"{split!r} has {len(images)} images "
                              f"but {len(labels)} labels")
@@ -135,11 +147,7 @@ def load_dir(root, split: str) -> Dataset:
         x = normalize_images(images) if images.dtype == np.uint8 \
             else images.astype(np.float32)
         return Dataset(x, labels, int(labels.max()) + 1)
-    bins = sorted(f for f in os.listdir(root)
-                  if f.startswith(split) and f.endswith(".bin"))
-    if not bins:
-        raise FileNotFoundError(f"no {split!r} files under {root}")
-    parts = [read_cifar_bin(os.path.join(root, b)) for b in bins]
+    parts = [read_cifar_bin(f) for f in files]
     images = np.concatenate([p[0] for p in parts])
     labels = np.concatenate([p[1] for p in parts])
     return Dataset(normalize_images(images), labels, int(labels.max()) + 1)

@@ -73,6 +73,8 @@ class LayerSpec:
                             f"{', '.join(DYNAMIC_KINDS)} take dynamic = true")
         if self.kind != "binary-mlp" and self.branches != BRANCH_KINDS:
             raise SpecError(f"{self.kind} has no branches; only binary-mlp sets them")
+        if self.kind != "stem-conv" and self.kernel != 3:
+            raise SpecError(f"{self.kind} has no kernel; only stem-conv sets it")
         if self.kind == "classifier" and self.stride != 1:
             raise SpecError(f"classifier has no stride, got {self.stride}")
         if self.kind == "stem-conv" and self.kernel % 2 == 0:
@@ -642,12 +644,16 @@ def read_checkpoint(path):
     return parse_network_spec(spec_text), meta, arrays
 
 
-def load(path, dtype=np.float32, allow_missing=False) -> Network:
-    """Rebuild a network from a checkpoint; forward outputs are bit-exact
-    reproductions of the saved model."""
+def load(path) -> Network:
+    """Rebuild a network from a checkpoint, in the dtype of its tensors;
+    forward outputs are bit-exact reproductions of the saved model."""
     spec, meta, arrays = read_checkpoint(path)
-    net = build(spec, seed=0, dtype=dtype)
-    net.load_state_arrays(arrays, allow_missing=allow_missing)
+    dtypes = {a.dtype for a in arrays.values()} or {np.dtype(np.float32)}
+    if len(dtypes) > 1:
+        raise CheckpointError(f"{path}: tensors mix dtypes "
+                              f"{', '.join(sorted(map(str, dtypes)))}")
+    net = build(spec, seed=0, dtype=dtypes.pop())
+    net.load_state_arrays(arrays)
     net.binary_weights = bool(meta.get("binary_weights", True))
     net.step = int(meta.get("step", 0))
     return net

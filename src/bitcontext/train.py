@@ -112,8 +112,8 @@ class AdamW:
                 # The new v is a convex mix of v and g * g, so it and every
                 # intermediate are at most max(v, g * g), up to rounding the
                 # halved limit absorbs; a float sum of squares is no less
-                # than its largest term.
-                bound = max(self.v_max[k], float(np.vdot(g, g)))
+                # than its largest term. np.maximum keeps a NaN from either.
+                bound = np.maximum(self.v_max[k], float(np.vdot(g, g)))
                 if bound / b2c < 0.5 * float(np.finfo(v.dtype).max):
                     continue
                 v_hat = (self.beta2 * v + (1.0 - self.beta2) * (g * g)) / b2c

@@ -157,6 +157,18 @@ class TestTrainEval:
                   "--set", "train.kd_logits=bad.npy"])
         assert rc == 2
 
+    @pytest.mark.parametrize("verb", [["train", "--output", "kd.bin"],
+                                      ["sweep", "--set", "sweep.train=true"]])
+    @pytest.mark.parametrize("section", ["train", "train2"])
+    def test_kd_weight_without_logits_is_usage_error(self, workdir, capsys,
+                                                     verb, section):
+        rc = run(verb + ["--config", "run.cfg", "--set", "sweep.points=0",
+                         "--set", f"{section}.kd_weight=0.5"])
+        assert rc == 1
+        assert f"{section}.kd_weight = 0.5 needs {section}.kd_logits" \
+            in capsys.readouterr().err
+        assert not os.path.exists("kd.bin")
+
 
 class TestErrors:
     def test_unknown_config_key_is_usage_error(self, workdir, capsys):
@@ -262,6 +274,25 @@ class TestErrors:
         assert "diverged: step 1 iteration 1" in capsys.readouterr().err
         assert not os.path.exists("ck.bin")
 
+    def test_synthetic_data_not_written_beside_a_real_split(self, tmp_path,
+                                                            monkeypatch, capsys):
+        """Split files are found by load_dir's own rule (<split>*.bin), so a
+        CIFAR-named root is loaded as it is, with no synthetic files added."""
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("data")
+        for name, n in (("data_batch_1.bin", 12), ("test_batch.bin", 10)):
+            u8, y = dt.make_blob_pairs(n, seed=n)
+            dt.write_cifar_bin(f"data/{name}", u8, y)
+        sets = ["data.root=data", "data.synthetic=pairs32", "data.n_train=40",
+                "data.n_test=30", "data.train_split=data_batch",
+                "train.iterations=0", "train2.iterations=0"]
+        args = [a for s in sets for a in ("--set", s)]
+        assert run(["train", "--output", "ck.bin"] + args) == 0
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", "ck.bin"] + args) == 0
+        assert capsys.readouterr().out.split()[-1] == "10"
+        assert sorted(os.listdir("data")) == ["data_batch_1.bin", "test_batch.bin"]
+
     def test_dataset_root_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("BITCONTEXT_DATA", str(tmp_path / "envdata"))
@@ -300,6 +331,41 @@ class TestReports:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("n_mlp")
         assert len(lines) == 4
+
+    def test_trained_sweep_point_is_the_train_recipe(self, workdir, capsys):
+        """A sweep point trains the network `train` builds: the same steps,
+        seeds and keys, so its top-1 is what `eval` reads off the checkpoint."""
+        args = [a for s in ["run.seed=1", "network.preset=desk-tiny",
+                            "data.root=./data32", "data.synthetic=pairs32",
+                            "data.n_train=128", "data.n_test=64",
+                            "train.iterations=3", "train2.iterations=3"]
+                for a in ("--set", s)]
+        assert run(["train", "--output", "ck.bin"] + args) == 0
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", "ck.bin"] + args) == 0
+        eval_top1 = capsys.readouterr().out.splitlines()[1].split("\t")[0]
+        assert run(["sweep", "--set", "sweep.train=true", "--set", "sweep.points=0"]
+                   + args) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        top1 = dict(zip(header.split("\t"), row.split("\t")))["top1"]
+        assert f"{float(top1):.6f}" == eval_top1
+
+    def test_sweep_missing_kd_logits_is_runtime_error(self, workdir, capsys):
+        assert run(["sweep", "--config", "run.cfg", "--set", "sweep.train=true",
+                    "--set", "sweep.points=0",
+                    "--set", "train.kd_logits=nonexistent.npy",
+                    "--set", "train.kd_weight=0.5"]) == 2
+        assert "teacher logits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,extra", [
+        ("train", []), ("eval", ["--checkpoint", "ck.bin"]), ("count-ops", []),
+        ("analyze-binerr", ["--checkpoint", "ck.bin"]),
+        ("sweep", ["--set", "sweep.points=0"]), ("export-spec", [])])
+    def test_manifest_command_is_the_verb(self, workdir, verb, extra):
+        if "--checkpoint" in extra:
+            run(["train", "--config", "run.cfg", "--output", "ck.bin"])
+        assert run([verb, "--config", "run.cfg", "--output", "out"] + extra) == 0
+        assert json.loads(open("out.manifest.json").read())["command"] == verb
 
     def test_export_spec_parses_back(self, workdir, capsys):
         assert run(["export-spec", "--set",

@@ -209,9 +209,14 @@ class TestSpecs:
         nw.LayerSpec("stem-conv", 3, 8, dynamic=True),
         nw.LayerSpec("classifier", 8, 10, dynamic=True),
         nw.LayerSpec("classifier", 8, 10, stride=2),
-        nw.LayerSpec("downsample", 8, 16, stride=2, branches=("long",) * 3)])
+        nw.LayerSpec("downsample", 8, 16, stride=2, branches=("long",) * 3),
+        nw.LayerSpec("binary-conv-3x3", 64, 64, kernel=5),
+        nw.LayerSpec("binary-conv-1x1", 64, 64, kernel=1),
+        nw.LayerSpec("downsample", 64, 128, stride=2, kernel=1),
+        nw.LayerSpec("binary-mlp", 64, 64, kernel=5),
+        nw.LayerSpec("classifier", 64, 10, kernel=1)])
     def test_programmatic_key_the_kind_ignores_rejected(self, ls):
-        with pytest.raises(nw.SpecError):
+        with pytest.raises(nw.SpecError, match=f"^{ls.kind} (has|takes) no"):
             ls.validate()
 
     def test_programmatic_zero_stride_rejected(self):
@@ -442,6 +447,26 @@ class TestPersistence:
         again = nw.load(p)
         assert np.array_equal(again.forward(x, training=False).data, ref)
         assert again.binary_weights == net.binary_weights
+
+    def test_float64_roundtrip_keeps_dtype_and_logits(self, tmp_path, rng):
+        """load builds the network in the checkpoint's own dtype."""
+        net = nw.build(nw.desk_micro(), seed=2, dtype=np.float64)
+        x = rng.normal(size=(2, 1, 16, 16))
+        p = tmp_path / "net.ckpt"
+        nw.save(net, p)
+        again = nw.load(p)
+        assert {a.dtype for a in again.state_arrays().values()} == {np.dtype(np.float64)}
+        assert np.array_equal(again.forward(x).data, net.forward(x).data)
+        assert np.array_equal(again.forward_packed(x), net.forward_packed(x))
+
+    def test_mixed_dtype_checkpoint_rejected(self, tmp_path):
+        net = nw.build(nw.desk_micro(), seed=2)
+        thr = net.params()["L01.thr"]
+        thr.data = thr.data.astype(np.float64)
+        p = tmp_path / "net.ckpt"
+        nw.save(net, p)
+        with pytest.raises(nw.CheckpointError, match="mix dtypes float32, float64"):
+            nw.load(p)
 
     def test_wrong_version_rejected(self, tmp_path):
         net = nw.build(nw.desk_micro(), seed=2)

@@ -189,6 +189,23 @@ class TestAdamW:
         fresh.t = opt.t
         assert not fresh.overflows()  # the same gradients, finite moments
 
+    @pytest.mark.parametrize("side", ["g", "v"])
+    def test_nan_on_either_side_trips_the_guard(self, side):
+        """The guard's bound is the larger of v's recorded maximum and g . g;
+        a NaN on either side must reach it rather than be dropped, so the
+        step that would write NaN into p is never taken."""
+        from bitcontext import autograd as ag
+        p = ag.param(np.ones(4))
+        opt = tr.AdamW({"p": p})
+        g = np.full(4, 1e-3, np.float32)
+        if side == "g":
+            g[1] = np.nan
+        else:  # as a step on a NaN gradient leaves v
+            opt.v["p"][1] = opt.v_max["p"] = np.nan
+        p.grad = g
+        with np.errstate(invalid="ignore"):
+            assert opt.overflows()
+
     def test_single_parameter_closed_form(self):
         from bitcontext import autograd as ag
         p = ag.param(np.array([2.0]), dtype=np.float64)
