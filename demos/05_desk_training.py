@@ -1,7 +1,7 @@
 """Two-step training at desk scale.
 
 Step 1 trains real-valued shadow weights under binarized activations;
-step 2 binarizes the weights too, starting from the step-1 state. The
+step 2 binarizes the weights too, continuing on the same network. The
 synthetic task places two bright blobs on a noisy torus and labels the
 pair by its relative offset, so long-range token mixing genuinely matters.
 
@@ -33,12 +33,12 @@ cfg2 = tr.TrainConfig(step=2, iterations=args.iterations, batch_size=64,
                       lr=1e-3, weight_decay=0.0, augment="roll", seed=1)
 
 net = nw.build(spec, seed=0)
-state1, res1 = tr.train_step1(net, train, cfg1)
+res1 = tr.train_step(net, train, cfg1)
 m1 = tr.evaluate(net, test)
 print(f"step 1 (real weights, binary activations): "
       f"loss {np.mean(res1.loss_history[-10:]):.3f}  top1 {m1.top1:.3f}")
 
-state2, res2 = tr.train_step2(net, state1, train, cfg2)
+res2 = tr.train_step(net, train, cfg2)
 m2 = tr.evaluate(net, test)
 print(f"step 2 (fully binarized):                  "
       f"loss {np.mean(res2.loss_history[-10:]):.3f}  top1 {m2.top1:.3f}")

@@ -14,8 +14,7 @@ from .network import (LayerSpec, Network, NetworkSpec, build, load, load_into,
                       parse_network_spec, preset, replace_trailing_convs, save)
 from .costmodel import CostReport, count_layer, count_network
 from .train import (AdamW, Metrics, TrainConfig, cosine_lr, evaluate, loss,
-                    sweep_replacement, train_step1, train_step2,
-                    two_step_pipeline)
+                    sweep_replacement, train_step)
 from .analysis import BinErrReport, binarization_error, per_branch_report
 
 __all__ = [
@@ -28,7 +27,7 @@ __all__ = [
     "parse_network_spec", "preset", "replace_trailing_convs", "save",
     "CostReport", "count_layer", "count_network",
     "AdamW", "Metrics", "TrainConfig", "cosine_lr", "evaluate", "loss",
-    "sweep_replacement", "train_step1", "train_step2", "two_step_pipeline",
+    "sweep_replacement", "train_step",
     "BinErrReport", "binarization_error", "per_branch_report",
     "__version__",
 ]

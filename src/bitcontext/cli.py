@@ -71,30 +71,27 @@ def _network_spec(cfg) -> nw.NetworkSpec:
     return nw.preset(name, **kwargs)
 
 
-def _dataset_root(cfg) -> str:
-    root = cfg["data"]["root"] or os.environ.get("BITCONTEXT_DATA", "")
-    if not root:
-        raise RuntimeFailure(
-            "no dataset root: set [data] root or BITCONTEXT_DATA")
-    return root
-
-
 # Synthetic dataset name -> (image size, channels).
 _SYNTHETIC = {"pairs32": (32, 3), "pairs16": (16, 1)}
 
 
 def _load_data(cfg, split_key):
     """Load a split, first writing [data] synthetic if no split has files."""
-    root = _dataset_root(cfg)
     dcfg = cfg["data"]
+    root = dcfg["root"] or os.environ.get("BITCONTEXT_DATA", "")
+    if not root:
+        raise RuntimeFailure("no dataset root: set [data] root or BITCONTEXT_DATA")
     synth = dcfg["synthetic"]
-    if synth != "none" and not any(dt.split_files(root, dcfg[k])
-                                   for k in ("train_split", "eval_split")):
+    splits = (dcfg["train_split"], dcfg["eval_split"])
+    if synth != "none" and not any(dt.split_files(root, s) for s in splits):
         if synth not in _SYNTHETIC:
             raise RuntimeFailure(f"unknown synthetic dataset {synth!r}")
+        if splits[0].startswith(splits[1]) or splits[1].startswith(splits[0]):
+            raise ConfigError(f"data.train_split {splits[0]!r} and data.eval_split "
+                              f"{splits[1]!r} would share files: one prefixes the other")
         size, channels = _SYNTHETIC[synth]
-        dt.write_synthetic_dir(root, dcfg["n_train"], dcfg["n_test"],
-                               size=size, channels=channels, seed=dcfg["seed"])
+        dt.write_synthetic_dir(root, dcfg["n_train"], dcfg["n_test"], size=size,
+                               channels=channels, seed=dcfg["seed"], splits=splits)
     try:
         return dt.load_dir(root, dcfg[split_key])
     except (OSError, ValueError) as e:
@@ -125,9 +122,9 @@ def _emit(text, args, cfg):
 
 
 def _train_config(cfg, step, train_data) -> tr.TrainConfig:
-    """Training step `step` as configured: step 1 reads [train], any other
-    [train2]; seeded run.seed + step. A kd_weight > 0 needs kd_logits, one
-    row of teacher logits per training image."""
+    """Training step `step` (1 or 2) as configured and validated: step 1
+    reads [train], step 2 [train2]; seeded run.seed + step. A kd_weight > 0
+    needs kd_logits, one row of teacher logits per training image."""
     section = "train" if step == 1 else "train2"
     scfg = cfg[section]
     teacher = None
@@ -144,18 +141,24 @@ def _train_config(cfg, step, train_data) -> tr.TrainConfig:
         raise ConfigError(f"{section}.kd_weight = {scfg['kd_weight']} needs "
                           f"{section}.kd_logits")
     # Every other train-section key is a TrainConfig field of the same name.
-    return tr.TrainConfig(step=step, seed=cfg["run"]["seed"] + step,
+    tcfg = tr.TrainConfig(step=step, seed=cfg["run"]["seed"] + step,
                           teacher_logits=teacher,
                           **{k: v for k, v in scfg.items() if k != "kd_logits"})
+    try:
+        return tcfg.validate()
+    except ValueError as e:  # the message leads with the field, here the key
+        raise ConfigError(f"{section}.{e}") from None
 
 
 def cmd_train(args) -> int:
+    if args.steps and not {s.strip() for s in args.steps.split(",")} <= {"1", "2"}:
+        raise ConfigError(f"--steps {args.steps!r} is not a comma list of 1s and 2s")
     cfg = _load_cfg(args)
     spec = _network_spec(cfg)
     train_data = _load_data(cfg, "train_split")
     net = nw.build(spec, seed=cfg["run"]["seed"])
     if args.init:
-        nw.load_into(net, args.init, allow_missing=True)
+        nw.load_into(net, args.init)
     steps = [int(s) for s in args.steps.split(",")] if args.steps else \
         [1, 2] if "train2" in cfg["__sections__"] or not args.init else [2]
     history = []
@@ -206,22 +209,17 @@ def cmd_analyze_binerr(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     points = [int(p) for p in cfg["sweep"]["points"].split(",")]
-    band = cfg["sweep"]["band"]
-    if "network" in cfg["__sections__"]:
-        base_spec = _network_spec(cfg)
-    else:  # default sweep base
-        base_spec = nw.desk_sweep(classes=cfg["network"]["classes"])
-    base = costmodel.count_network(base_spec).ops
-    train_data = eval_data = cfg1 = cfg2 = None
+    base_spec = _network_spec(cfg) if "network" in cfg["__sections__"] else None
+    train_data = eval_data = None
+    cfgs = []
     if cfg["sweep"]["train"]:
         train_data = _load_data(cfg, "train_split")
         eval_data = _load_data(cfg, "eval_split")
-        cfg1, cfg2 = (_train_config(cfg, step, train_data) for step in (1, 2))
-    rows = tr.sweep_replacement(points, (base * (1 - band), base * (1 + band)),
-                                base_spec=base_spec,
+        cfgs = [_train_config(cfg, step, train_data) for step in (1, 2)]
+    rows = tr.sweep_replacement(points, cfg["sweep"]["band"], base_spec=base_spec,
                                 classes=cfg["network"]["classes"],
                                 train_data=train_data, eval_data=eval_data,
-                                cfg1=cfg1, cfg2=cfg2, seed=cfg["run"]["seed"])
+                                cfgs=cfgs, seed=cfg["run"]["seed"])
     cols = list(rows[0].keys())
     lines = ["\t".join(cols)]
     for r in rows:

@@ -197,25 +197,27 @@ def synthetic_pairs_dataset(n: int, size: int = 32, channels: int = 3,
 
 
 def write_synthetic_dir(root, n_train: int, n_test: int, size: int = 32,
-                        channels: int = 3, seed: int = 0) -> None:
-    """Materialize a synthetic dataset directory; 32x32 RGB goes out in the
+                        channels: int = 3, seed: int = 0,
+                        splits=("train", "test")) -> None:
+    """Materialize a synthetic dataset directory, the training and test sets
+    named by splits as split_files reads them; 32x32 RGB goes out in the
     CIFAR record format, anything else as IDX pairs."""
     os.makedirs(root, exist_ok=True)
-    tr_u8, tr_y = make_blob_pairs(n_train, size, channels, seed)
-    te_u8, te_y = make_blob_pairs(n_test, size, channels, seed + 1)
-    if size == CIFAR_HW and channels == 3:
-        write_cifar_bin(os.path.join(root, "train.bin"), tr_u8, tr_y)
-        write_cifar_bin(os.path.join(root, "test.bin"), te_u8, te_y)
-    else:
-        for split, u8, y in (("train", tr_u8, tr_y), ("test", te_u8, te_y)):
-            imgs = u8[:, 0] if channels == 1 else u8
-            write_idx(os.path.join(root, f"{split}-images.idx"), imgs)
-            write_idx(os.path.join(root, f"{split}-labels.idx"),
-                      y.astype(np.uint8))
+    sets = [make_blob_pairs(n, size, channels, seed + i)
+            for i, n in enumerate((n_train, n_test))]
+    for split, (u8, y) in zip(splits, sets):
+        if size == CIFAR_HW and channels == 3:
+            write_cifar_bin(os.path.join(root, f"{split}.bin"), u8, y)
+        else:
+            write_idx(os.path.join(root, f"{split}-images.idx"),
+                      u8[:, 0] if channels == 1 else u8)
+            write_idx(os.path.join(root, f"{split}-labels.idx"), y.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
 # augmentation
+
+AUGMENTS = ("none", "roll", "flip-crop")
 
 
 def augment_batch(x: np.ndarray, mode: str, rng) -> np.ndarray:

@@ -274,8 +274,12 @@ class Network:
         self.spec = spec
         self.layers = layers
         self.dtype = dtype
-        self.binary_weights = True
-        self.step = 0
+        self.step = 0  # the training step that last ran; 0 = as built
+
+    @property
+    def binary_weights(self) -> bool:
+        """Weights binarize in every mode but step 1's real-weight training."""
+        return self.step != 1
 
     def params(self) -> dict:
         out = {}
@@ -330,31 +334,17 @@ class Network:
         arrays.update({f"b.{k}": b for k, b in self.buffers().items()})
         return arrays
 
-    def load_state_arrays(self, arrays: dict, allow_missing=False):
-        """Copy named tensors into the network's own arrays.
-
-        With allow_missing a network may extend a plain one with dynamic
-        embeddings: its `dyn.*` parameters, inert as built (W2 = W3 = 0),
-        keep their values when absent, and a plain layer's `thr` seeds
-        the `dyn.b_beta` that replaces it, so the network computes what the
-        checkpoint did. Any other missing tensor, and any tensor the
-        network has no place for, raises CheckpointError.
-        """
+    def load_state_arrays(self, arrays: dict):
+        """Copy named tensors into the network's own arrays. A missing
+        tensor, a tensor the network has no place for and a shape mismatch
+        raise CheckpointError."""
         own = self.state_arrays()
-        arrays = dict(arrays)
-        if allow_missing:
-            for name in [k for k in arrays if k.endswith(".thr") and k not in own]:
-                beta = name[:-len("thr")] + "dyn.b_beta"
-                if beta in own and beta not in arrays:
-                    arrays[beta] = arrays.pop(name)
         extra = sorted(set(arrays) - set(own))
         if extra:
             raise CheckpointError(f"network has no tensor {extra[0]} "
                                   f"({len(extra)} checkpoint tensors unplaced)")
         for name, dst in own.items():
             if name not in arrays:
-                if allow_missing and ".dyn." in name:
-                    continue
                 raise CheckpointError(f"checkpoint missing tensor {name}")
             src = arrays[name]
             if src.shape != dst.shape:
@@ -455,12 +445,8 @@ def desk_tiny(classes=10, branches=("point", "short", "long"),
     layers = [
         LayerSpec("stem-conv", 3, 32, stride=2),
         LayerSpec("downsample", 32, 64, stride=2, dynamic=dynamic),
-        LayerSpec("binary-conv-3x3", 64, 64, dynamic=dynamic),
-        LayerSpec("binary-conv-3x3", 64, 64, dynamic=dynamic),
-        LayerSpec("binary-conv-3x3", 64, 64, dynamic=dynamic),
-        LayerSpec("binary-mlp", 64, 64, branches=tuple(branches)),
-        LayerSpec("binary-mlp", 64, 64, branches=tuple(branches)),
-        LayerSpec("binary-mlp", 64, 64, branches=tuple(branches)),
+        *[LayerSpec("binary-conv-3x3", 64, 64, dynamic=dynamic) for _ in range(3)],
+        *[LayerSpec("binary-mlp", 64, 64, branches=tuple(branches)) for _ in range(3)],
         LayerSpec("classifier", 64, classes),
     ]
     return NetworkSpec("desk-tiny", (32, 32), classes, layers).validate()
@@ -473,9 +459,7 @@ def desk_micro(classes=10, branches=("point", "short", "long"),
     layers = [
         LayerSpec("stem-conv", in_channels, 16, stride=2),
         LayerSpec("downsample", 16, 32, stride=2),
-        LayerSpec("binary-mlp", 32, 32, branches=tuple(branches)),
-        LayerSpec("binary-mlp", 32, 32, branches=tuple(branches)),
-        LayerSpec("binary-mlp", 32, 32, branches=tuple(branches)),
+        *[LayerSpec("binary-mlp", 32, 32, branches=tuple(branches)) for _ in range(3)],
         LayerSpec("classifier", 32, classes),
     ]
     return NetworkSpec("desk-micro", (16, 16), classes, layers,
@@ -549,10 +533,6 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
-def spec_hash(spec: NetworkSpec) -> bytes:
-    return hashlib.sha256(spec.to_text().encode()).digest()
-
-
 def save(net: Network, path) -> None:
     """Serialize parameters, buffers and metadata (see module docstring),
     replacing path atomically."""
@@ -563,7 +543,7 @@ def save(net: Network, path) -> None:
     out += CHECKPOINT_MAGIC
     out += struct.pack("<I", CHECKPOINT_VERSION)
     out += struct.pack("<I", len(spec_text)) + spec_text
-    out += spec_hash(net.spec)
+    out += hashlib.sha256(spec_text).digest()
     out += struct.pack("<I", len(meta)) + meta
     arrays = net.state_arrays()
     out += struct.pack("<I", len(arrays))
@@ -654,20 +634,35 @@ def load(path) -> Network:
                               f"{', '.join(sorted(map(str, dtypes)))}")
     net = build(spec, seed=0, dtype=dtypes.pop())
     net.load_state_arrays(arrays)
-    net.binary_weights = bool(meta.get("binary_weights", True))
-    net.step = int(meta.get("step", 0))
+    net.step = _meta_step(meta, net.step, path)
     return net
 
 
-def load_into(net: Network, path, allow_missing=False) -> Network:
-    """Load checkpoint tensors into an existing (possibly extended) network.
-
-    Used when fine-tuning a dynamic-embedding variant from a plain
-    checkpoint: with allow_missing set, the embedding parameters absent
-    from the file keep their current values (see load_state_arrays).
-    """
+def load_into(net: Network, path) -> Network:
+    """Load checkpoint tensors into an existing network, which may extend
+    the checkpoint's plain one with dynamic embeddings: absent `dyn.*`
+    parameters, inert as built (W2 = W3 = 0), keep their values, and a plain
+    layer's `thr` seeds the `dyn.b_beta` that replaces it, so the network
+    computes what the checkpoint did. Otherwise as strict as load."""
     _, meta, arrays = read_checkpoint(path)
-    net.load_state_arrays(arrays, allow_missing=allow_missing)
-    net.binary_weights = bool(meta.get("binary_weights", net.binary_weights))
-    net.step = int(meta.get("step", net.step))
+    step = _meta_step(meta, net.step, path)
+    own = net.state_arrays()
+    for name in [k for k in arrays if k.endswith(".thr") and k not in own]:
+        beta = name[:-len("thr")] + "dyn.b_beta"
+        if beta in own and beta not in arrays:
+            arrays[beta] = arrays.pop(name)
+    for name in own:
+        if ".dyn." in name:
+            arrays.setdefault(name, own[name])
+    net.load_state_arrays(arrays)
+    net.step = step
     return net
+
+
+def _meta_step(meta: dict, default: int, path) -> int:
+    """The checkpoint's step (default if unrecorded); binary_weights must agree."""
+    step = int(meta.get("step", default))
+    if bool(meta.get("binary_weights", step != 1)) != (step != 1):
+        raise CheckpointError(f"{path}: metadata binary_weights = "
+                              f"{meta['binary_weights']} contradicts step {step}")
+    return step

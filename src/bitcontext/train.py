@@ -1,10 +1,11 @@
-"""Two-step training pipeline, optimizer, schedules, metrics and the
-conv-vs-MLP replacement sweep.
+"""Two-step training, optimizer, schedules, metrics and the conv-vs-MLP
+replacement sweep.
 
 Step one trains full-precision shadow weights under binarized activations;
-step two starts from that checkpoint and binarizes weights as well (zero
-weight decay, per the training recipe). All randomness flows from the
-config seed through one generator.
+step two binarizes the weights as well (zero weight decay, per the training
+recipe). Both run as train_step on one network, so step two starts from
+exactly what step one left. All randomness flows from the config seed
+through one generator.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import autograd as ag
 from . import costmodel as cm
 from . import network as nw
-from .data import Dataset, augment_batch
+from .data import AUGMENTS, Dataset, augment_batch
 
 
 class DivergenceError(ValueError):
@@ -39,10 +40,19 @@ class TrainConfig:
     kd_weight: float = 0.0
 
     def validate(self):
-        if self.step not in (1, 2):
-            raise ValueError(f"step must be 1 or 2, got {self.step}")
-        if not 0.0 <= self.smoothing < 1.0:
-            raise ValueError("smoothing must be in [0, 1)")
+        """Raise ValueError, its message led by the field's name, on a value
+        training cannot use (NaN fails every range)."""
+        for bad, name, rule in (
+                (self.step not in (1, 2), "step", "1 or 2"),
+                (not self.iterations >= 0, "iterations", ">= 0"),
+                (not self.batch_size >= 1, "batch_size", ">= 1"),
+                (not self.lr >= 0.0, "lr", ">= 0"),
+                (not self.weight_decay >= 0.0, "weight_decay", ">= 0"),
+                (not 0.0 <= self.smoothing < 1.0, "smoothing", "in [0, 1)"),
+                (self.augment not in AUGMENTS, "augment", f"one of {AUGMENTS}"),
+                (not 0.0 <= self.kd_weight <= 1.0, "kd_weight", "in [0, 1]")):
+            if bad:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         return self
 
 
@@ -200,7 +210,6 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
     DivergenceError before that iteration's update is applied, with the
     batch-norm running statistics restored to their values before it."""
     cfg.validate()
-    net.binary_weights = cfg.step == 2
     net.step = cfg.step
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(net.params(), weight_decay=cfg.weight_decay)
@@ -239,7 +248,10 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
 
 
 def train_step1(net: nw.Network, data: Dataset, cfg: TrainConfig):
-    """Real-weight / binary-activation phase; returns the state arrays."""
+    """Real-weight / binary-activation phase; returns a copy of the state
+    arrays and the result. train_step1 and train_step2 stay only because
+    perfbench/phase.py calls them; ROADMAP item 1's benchmark change moves
+    phase.py onto train_step and deletes both."""
     if cfg.step != 1:
         raise ValueError("train_step1 requires cfg.step == 1")
     result = train_step(net, data, cfg)
@@ -248,11 +260,11 @@ def train_step1(net: nw.Network, data: Dataset, cfg: TrainConfig):
 
 def train_step2(net: nw.Network, init: dict | None, data: Dataset,
                 cfg: TrainConfig):
-    """Fully binarized phase, initialized from a step-1 state when given."""
+    """Fully binarized phase, initialized from a step-1 state of the same network."""
     if cfg.step != 2:
         raise ValueError("train_step2 requires cfg.step == 2")
     if init is not None:
-        net.load_state_arrays(init, allow_missing=True)
+        net.load_state_arrays(init)
     result = train_step(net, data, cfg)
     return {k: v.copy() for k, v in net.state_arrays().items()}, result
 
@@ -280,34 +292,26 @@ def evaluate(net: nw.Network, data: Dataset, batch_size: int = 256,
     return Metrics(correct1 / n, correct5 / n, total_loss / n, n)
 
 
-def two_step_pipeline(spec: nw.NetworkSpec, train_data: Dataset,
-                      cfg1: TrainConfig, cfg2: TrainConfig, seed: int = 0):
-    """Build, run both phases, and return the final network and results."""
-    net = nw.build(spec, seed=seed)
-    state1, res1 = train_step1(net, train_data, cfg1)
-    state2, res2 = train_step2(net, state1, train_data, cfg2)
-    return net, (res1, res2)
-
-
-def sweep_replacement(n_mlp_list, budget_band=None,
+def sweep_replacement(n_mlp_list, band: float = 0.03,
                       base_spec: nw.NetworkSpec | None = None, classes=10,
                       train_data: Dataset | None = None,
                       eval_data: Dataset | None = None,
-                      cfg1: TrainConfig | None = None,
-                      cfg2: TrainConfig | None = None, seed: int = 0):
+                      cfgs=(), seed: int = 0):
     """Cost (and optionally accuracy) rows for the conv->MLP trade-off.
 
     Each point converts trailing stride-1 conv blocks of the base spec
-    (the sweep preset by default) into triples of MLP blocks. budget_band
-    is an (lo, hi) OPs window each point must stay inside; None derives a
-    +-3% band around the all-conv baseline, mirroring the essentially-flat
-    full-scale budget.
+    (desk_sweep(classes) by default) into triples of MLP blocks. A point is
+    in_band when its OPs lie within +-band of the base spec's, mirroring
+    the essentially-flat full-scale budget. With cfgs, each point's network
+    is built from seed, trained by train_step once per config on
+    train_data, and scored on eval_data as top1.
     """
+    if cfgs and (train_data is None or eval_data is None):
+        raise ValueError("a trained sweep needs train_data and eval_data")
     if base_spec is None:
         base_spec = nw.desk_sweep(classes=classes)
     base_ops = cm.count_network(base_spec).ops
-    if budget_band is None:
-        budget_band = (base_ops * 0.97, base_ops * 1.03)
+    lo, hi = base_ops * (1 - band), base_ops * (1 + band)
     rows = []
     for n_mlp in n_mlp_list:
         spec = nw.replace_trailing_convs(base_spec, n_mlp)
@@ -319,12 +323,12 @@ def sweep_replacement(n_mlp_list, budget_band=None,
             "bops": report.bops,
             "flops": report.flops,
             "ops": report.ops,
-            "in_band": budget_band[0] <= report.ops <= budget_band[1],
+            "in_band": lo <= report.ops <= hi,
         }
-        if train_data is not None and cfg1 is not None and cfg2 is not None:
-            net, _ = two_step_pipeline(spec, train_data, cfg1, cfg2, seed=seed)
-            metrics = evaluate(net, eval_data if eval_data is not None
-                               else train_data)
-            row["top1"] = metrics.top1
+        if cfgs:
+            net = nw.build(spec, seed=seed)
+            for cfg in cfgs:
+                train_step(net, train_data, cfg)
+            row["top1"] = evaluate(net, eval_data).top1
         rows.append(row)
     return rows

@@ -224,12 +224,18 @@ def _micro_two_step(branches, seed, train, init_from_step1=True, iters=350):
     cfg2 = tr.TrainConfig(step=2, iterations=iters, batch_size=64, lr=1e-3,
                           weight_decay=0.0, augment="roll", seed=seed + 100)
     net = nw.build(nw.desk_micro(branches=branches), seed=seed)
-    if init_from_step1:
-        state1, _ = tr.train_step1(net, train, cfg1)
-        tr.train_step2(net, state1, train, cfg2)
-    else:
-        tr.train_step2(net, None, train, cfg2)
+    for cfg in (cfg1, cfg2) if init_from_step1 else (cfg2,):
+        tr.train_step(net, train, cfg)
     return net
+
+
+@pytest.fixture(scope="module")
+def psl_from_step1_top1(micro_pair_data):
+    """Held-out top-1 of P-S-L desk-micro trained step 1 then step 2, for
+    seeds 0-2: 6b's P-S-L side and 6c's from-step-1 side are these runs."""
+    train, test = micro_pair_data
+    return [tr.evaluate(_micro_two_step(("point", "short", "long"), seed, train),
+                        test).top1 for seed in (0, 1, 2)]
 
 
 @criterion("6a", "two-step desk-tiny reaches >=55% top-1 on the 10-class "
@@ -242,7 +248,9 @@ def test_criterion_6a_two_step_accuracy(desk_cifar_data):
                           weight_decay=1e-5, augment="roll", seed=0)
     cfg2 = tr.TrainConfig(step=2, iterations=450, batch_size=64, lr=1e-3,
                           weight_decay=0.0, augment="roll", seed=1)
-    net, _ = tr.two_step_pipeline(nw.desk_tiny(), train, cfg1, cfg2, seed=0)
+    net = nw.build(nw.desk_tiny(), seed=0)
+    for cfg in (cfg1, cfg2):
+        tr.train_step(net, train, cfg)
     elapsed = time.time() - t0
     m = tr.evaluate(net, test)
     print(f"\n  desk-tiny two-step: top1={m.top1:.3f} in {elapsed / 60:.1f} min")
@@ -252,19 +260,14 @@ def test_criterion_6a_two_step_accuracy(desk_cifar_data):
 
 @criterion("6b", "P-S-L mean accuracy >= pointwise-only at matched OPs over "
                  "3 seeds")
-def test_criterion_6b_psl_beats_pointwise(micro_pair_data):
+def test_criterion_6b_psl_beats_pointwise(micro_pair_data, psl_from_step1_top1):
     train, test = micro_pair_data
     psl_spec = nw.desk_micro(branches=("point", "short", "long"))
     ppp_spec = nw.desk_micro(branches=("point", "point", "point"))
     assert cm.count_network(psl_spec).ops == cm.count_network(ppp_spec).ops
-    psl, ppp = [], []
-    for seed in (0, 1, 2):
-        a = tr.evaluate(_micro_two_step(("point", "short", "long"), seed,
-                                        train), test).top1
-        b = tr.evaluate(_micro_two_step(("point", "point", "point"), seed,
-                                        train), test).top1
-        psl.append(a)
-        ppp.append(b)
+    psl = psl_from_step1_top1
+    ppp = [tr.evaluate(_micro_two_step(("point", "point", "point"), seed, train),
+                       test).top1 for seed in (0, 1, 2)]
     print(f"\n  P-S-L={np.mean(psl):.3f} (seeds {psl}) "
           f"P-only={np.mean(ppp):.3f} (seeds {ppp})")
     assert np.mean(psl) >= np.mean(ppp)
@@ -272,12 +275,11 @@ def test_criterion_6b_psl_beats_pointwise(micro_pair_data):
 
 @criterion("6c", "step-2 from step-1 initialization beats random-init step-2 "
                  "across 3 seeds")
-def test_criterion_6c_two_step_beats_random_init(micro_pair_data):
+def test_criterion_6c_two_step_beats_random_init(micro_pair_data,
+                                                 psl_from_step1_top1):
     train, test = micro_pair_data
     wins = []
-    for seed in (0, 1, 2):
-        a = tr.evaluate(_micro_two_step(("point", "short", "long"), seed,
-                                        train, True), test).top1
+    for seed, a in zip((0, 1, 2), psl_from_step1_top1):
         b = tr.evaluate(_micro_two_step(("point", "short", "long"), seed,
                                         train, False), test).top1
         print(f"\n  seed {seed}: from-step1={a:.3f} random-init={b:.3f}")

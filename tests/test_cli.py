@@ -274,6 +274,60 @@ class TestErrors:
         assert "diverged: step 1 iteration 1" in capsys.readouterr().err
         assert not os.path.exists("ck.bin")
 
+    @pytest.mark.parametrize("verb", [["train", "--output", "ck.bin"],
+                                      ["sweep", "--set", "sweep.train=true"]])
+    @pytest.mark.parametrize("setting", [
+        "train.batch_size=0", "train.iterations=-3", "train.lr=-1",
+        "train.weight_decay=-1e-5", "train2.augment=flip", "train2.kd_weight=-0.5",
+        "train2.smoothing=1"])
+    def test_unusable_train_config_is_usage_error(self, workdir, capsys, verb,
+                                                   setting):
+        """Every step's config is checked before step 1 trains."""
+        rc = run(verb + ["--config", "run.cfg", "--set", "sweep.points=0",
+                         "--set", setting])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert f"error: {setting.split('=')[0]} must be " in err
+        assert "step 1:" not in out and not os.path.exists("ck.bin")
+
+    @pytest.mark.parametrize("steps", ["1,x", "3", "1,3", "0", "1,,2"])
+    def test_bad_steps_is_usage_error(self, workdir, capsys, steps):
+        rc = run(["train", "--config", "run.cfg", "--output", "ck.bin",
+                  "--steps", steps])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert f"--steps {steps!r}" in err
+        assert "step 1:" not in out and not os.path.exists("ck.bin")
+        assert not os.path.exists("data")  # rejected before any data is written
+
+    @pytest.mark.parametrize("synthetic,preset,files", [
+        ("pairs16", "desk-micro", ["digits-images.idx", "digits-labels.idx",
+                                   "holdout-images.idx", "holdout-labels.idx"]),
+        ("pairs32", "desk-tiny", ["digits.bin", "holdout.bin"])])
+    def test_synthetic_data_written_under_the_split_names(self, workdir, capsys,
+                                                          synthetic, preset, files):
+        args = [a for s in [f"data.synthetic={synthetic}", f"network.preset={preset}",
+                            "data.root=data", "data.train_split=digits",
+                            "data.eval_split=holdout", "data.n_train=40", "data.n_test=30",
+                            "train.iterations=1", "train2.iterations=1"]
+                for a in ("--set", s)]
+        assert run(["train", "--output", "ck.bin"] + args) == 0
+        assert sorted(os.listdir("data")) == files
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", "ck.bin"] + args) == 0
+        assert capsys.readouterr().out.split()[-1] == "30"
+
+    @pytest.mark.parametrize("train_split,eval_split", [("same", "same"),
+                                                        ("test", "test2")])
+    def test_synthetic_splits_sharing_files_is_usage_error(self, workdir, capsys,
+                                                           train_split, eval_split):
+        rc = run(["train", "--config", "run.cfg", "--output", "ck.bin",
+                  "--set", f"data.train_split={train_split}",
+                  "--set", f"data.eval_split={eval_split}"])
+        assert rc == 1
+        assert "data.train_split" in capsys.readouterr().err
+        assert not os.path.exists("data")
+
     def test_synthetic_data_not_written_beside_a_real_split(self, tmp_path,
                                                             monkeypatch, capsys):
         """Split files are found by load_dir's own rule (<split>*.bin), so a

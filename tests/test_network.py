@@ -1,5 +1,6 @@
 import os
 import struct
+import types
 import zlib
 from unittest import mock
 
@@ -559,17 +560,21 @@ class TestPersistence:
         p = tmp_path / "plain.ckpt"
         nw.save(plain, p)
         dyn = nw.build(nw.desk_tiny(dynamic=True), seed=77)
-        nw.load_into(dyn, p, allow_missing=True)
+        nw.load_into(dyn, p)
         x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
         assert np.array_equal(dyn.forward(x).data, plain.forward(x).data)
 
     def test_missing_tensor_strict_failure(self, tmp_path):
-        plain = nw.build(nw.desk_tiny(), seed=3)
-        p = tmp_path / "plain.ckpt"
-        nw.save(plain, p)
+        """load_state_arrays is strict: a plain state's thresholds have no
+        place in a dynamic network (only load_into extends plain to dynamic),
+        and without them its embeddings are missing."""
+        plain = nw.build(nw.desk_tiny(), seed=3).state_arrays()
         dyn = nw.build(nw.desk_tiny(dynamic=True), seed=77)
-        with pytest.raises(nw.CheckpointError):
-            nw.load_into(dyn, p, allow_missing=False)
+        with pytest.raises(nw.CheckpointError, match="network has no tensor p.L01.thr"):
+            dyn.load_state_arrays(plain)
+        thr = [k for k in plain if k.endswith(".thr") and k not in dyn.state_arrays()]
+        with pytest.raises(nw.CheckpointError, match="missing tensor p.L01.dyn"):
+            dyn.load_state_arrays({k: v for k, v in plain.items() if k not in thr})
 
     def test_load_into_dynamic_variant_seeds_thresholds(self, tmp_path, rng):
         """A plain layer's trained thr becomes the dynamic layer's b_beta, so
@@ -581,7 +586,7 @@ class TestPersistence:
         p = tmp_path / "plain.ckpt"
         nw.save(plain, p)
         dyn = nw.build(nw.desk_tiny(dynamic=True), seed=77)
-        nw.load_into(dyn, p, allow_missing=True)
+        nw.load_into(dyn, p)
         x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
         assert np.array_equal(dyn.forward(x).data, plain.forward(x).data)
         assert np.array_equal(dyn.forward_packed(x), plain.forward_packed(x))
@@ -592,11 +597,68 @@ class TestPersistence:
         nw.save(dyn, p)
         plain = nw.build(nw.desk_tiny(), seed=3)
         with pytest.raises(nw.CheckpointError, match="network has no tensor p.L.*dyn"):
-            nw.load_into(plain, p, allow_missing=True)
+            nw.load_into(plain, p)
 
-    def test_load_into_missing_non_embedding_tensor_rejected(self, tmp_path):
+    def test_load_into_missing_non_embedding_tensor_rejected(self, tmp_path,
+                                                             monkeypatch):
         net = nw.build(nw.desk_tiny(), seed=3)
         arrays = net.state_arrays()
         arrays.pop("p.L02.thr")
+        monkeypatch.setattr(net, "state_arrays", lambda: arrays)
+        p = tmp_path / "short.ckpt"
+        nw.save(net, p)
         with pytest.raises(nw.CheckpointError, match="missing tensor p.L02.thr"):
-            net.load_state_arrays(arrays, allow_missing=True)
+            nw.load_into(nw.build(nw.desk_tiny(), seed=3), p)
+
+    def test_load_into_same_spec_equals_load(self, tmp_path, rng):
+        """Without anything to extend, load_into is load's strict copy into
+        an existing network, step included."""
+        net = nw.build(nw.desk_tiny(dynamic=True), seed=3)
+        for v in net.state_arrays().values():
+            v[...] = rng.normal(size=v.shape)
+        net.step = 1
+        p = tmp_path / "net.ckpt"
+        nw.save(net, p)
+        into = nw.load_into(nw.build(nw.desk_tiny(dynamic=True), seed=8), p)
+        again = nw.load(p)
+        assert into.step == again.step == 1
+        for k, v in again.state_arrays().items():
+            assert np.array_equal(into.state_arrays()[k], v), k
+
+    def test_binary_weights_is_derived_from_the_step(self):
+        net = nw.build(nw.desk_micro(), seed=0)
+        assert net.step == 0 and net.binary_weights is True
+        net.step = 1
+        assert net.binary_weights is False
+        net.step = 2
+        assert net.binary_weights is True
+        with pytest.raises(AttributeError):
+            net.binary_weights = False
+
+    @pytest.mark.parametrize("step", [0, 1, 2])
+    def test_checkpoint_meta_records_step_and_weight_mode(self, tmp_path, step):
+        net = nw.build(nw.desk_micro(), seed=0)
+        net.step = step
+        p = tmp_path / "net.ckpt"
+        nw.save(net, p)
+        assert nw.read_checkpoint(p)[1] == {"binary_weights": step != 1, "step": step}
+        assert nw.load(p).step == step
+        assert nw.load_into(nw.build(nw.desk_micro(), seed=1), p).step == step
+
+    @pytest.mark.parametrize("binary_weights,step", [(True, 1), (False, 0), (False, 2)])
+    def test_meta_contradicting_its_step_rejected(self, tmp_path, binary_weights, step):
+        """Both readers reject it, and load_into before it touches the network."""
+        saved = nw.build(nw.desk_micro(), seed=0)
+        p = tmp_path / "odd.ckpt"
+        nw.save(types.SimpleNamespace(spec=saved.spec, state_arrays=saved.state_arrays,
+                                      binary_weights=binary_weights, step=step), p)
+        net = nw.build(nw.desk_micro(), seed=1)
+        before = {k: v.copy() for k, v in net.state_arrays().items()}
+        for read in (nw.load, lambda path: nw.load_into(net, path)):
+            with pytest.raises(nw.CheckpointError,
+                               match=f"binary_weights = {binary_weights} "
+                                     f"contradicts step {step}"):
+                read(p)
+        assert net.step == 0
+        for k, v in net.state_arrays().items():
+            assert np.array_equal(before[k], v), k

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from bitcontext import costmodel as cm
 from bitcontext import data as dt
 from bitcontext import network as nw
 from bitcontext import train as tr
@@ -249,6 +252,26 @@ class TestCosine:
 
 
 class TestTrainStep:
+    @pytest.mark.parametrize("field,value", [
+        ("step", 3), ("iterations", -3), ("batch_size", 0), ("lr", -1.0),
+        ("lr", float("nan")), ("weight_decay", -1e-5), ("smoothing", 1.0),
+        ("augment", "flip"), ("kd_weight", -0.5), ("kd_weight", 1.5)])
+    def test_unusable_config_rejected_before_training(self, micro_data, field, value):
+        net = nw.build(nw.desk_micro(), seed=0)
+        before = {k: v.copy() for k, v in net.state_arrays().items()}
+        cfg = replace(tr.TrainConfig(step=1, iterations=2, batch_size=32), **{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be .*, got"):
+            tr.train_step(net, micro_data, cfg)
+        for k, v in net.state_arrays().items():
+            assert np.array_equal(before[k], v), k
+        assert net.step == 0
+
+    def test_edge_values_accepted(self):
+        for cfg in (tr.TrainConfig(iterations=0, batch_size=1, lr=0.0,
+                                   weight_decay=0.0, kd_weight=1.0),
+                    *(tr.TrainConfig(augment=a) for a in ("none", "roll", "flip-crop"))):
+            assert cfg.validate() is cfg
+
     def test_zero_lr_leaves_parameters_unchanged(self, micro_data):
         net = nw.build(nw.desk_micro(), seed=0)
         before = {k: v.copy() for k, v in net.state_arrays().items()
@@ -274,10 +297,10 @@ class TestTrainStep:
         init = {k: v.copy() for k, v in net.state_arrays().items()}
         cfg = tr.TrainConfig(step=2, iterations=0, batch_size=32, lr=1e-3,
                              weight_decay=0.0, seed=0)
-        state, res = tr.train_step2(net, None, micro_data, cfg)
+        res = tr.train_step(net, micro_data, cfg)
         assert res.loss_history == []
-        for k in init:
-            assert np.array_equal(init[k], state[k])
+        for k, v in net.state_arrays().items():
+            assert np.array_equal(init[k], v)
 
     def test_smoke_training_reduces_loss(self, micro_data):
         net = nw.build(nw.desk_micro(), seed=3)
@@ -454,8 +477,35 @@ class TestSweep:
                               seed=0)
         cfg2 = tr.TrainConfig(step=2, iterations=3, batch_size=32, lr=1e-3,
                               weight_decay=0.0, seed=1)
-        rows = tr.sweep_replacement([0, 3], budget_band=(0, 1e12),
-                                    base_spec=base, train_data=micro_data,
-                                    cfg1=cfg1, cfg2=cfg2)
+        rows = tr.sweep_replacement([0, 3], base_spec=base, train_data=micro_data,
+                                    eval_data=micro_data, cfgs=(cfg1, cfg2))
         assert all("top1" in r for r in rows)
         assert rows[0]["n_conv"] == 2 and rows[1]["n_conv"] == 1
+
+    def test_trained_point_is_train_step_per_config(self, micro_data):
+        """A trained point is the network that train_step, run once per
+        config on one network built from the sweep seed, leaves."""
+        spec = nw.desk_micro()
+        cfgs = [tr.TrainConfig(step=1, iterations=3, batch_size=32, seed=4),
+                tr.TrainConfig(step=2, iterations=2, batch_size=32, seed=5)]
+        net = nw.build(spec, seed=6)
+        for cfg in cfgs:
+            tr.train_step(net, micro_data, cfg)
+        top1 = tr.evaluate(net, micro_data).top1
+        rows = tr.sweep_replacement([0], base_spec=spec, train_data=micro_data,
+                                    eval_data=micro_data, cfgs=cfgs, seed=6)
+        assert rows[0]["top1"] == top1
+
+    def test_trained_sweep_needs_eval_data(self, micro_data):
+        cfg = tr.TrainConfig(step=1, iterations=1, batch_size=32)
+        with pytest.raises(ValueError, match="needs train_data and eval_data"):
+            tr.sweep_replacement([0], base_spec=nw.desk_micro(),
+                                 train_data=micro_data, cfgs=[cfg])
+
+    def test_band_sets_the_ops_window(self):
+        base = cm.count_network(nw.desk_sweep()).ops
+        ops = cm.count_network(nw.desk_sweep(n_mlp=3)).ops
+        gap = abs(ops - base) / base
+        assert 0 < gap < 0.03
+        assert tr.sweep_replacement([3], band=gap * 1.001)[0]["in_band"]
+        assert not tr.sweep_replacement([3], band=gap * 0.999)[0]["in_band"]
