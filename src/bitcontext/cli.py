@@ -6,7 +6,7 @@ run writes a `<output>.manifest.json` sidecar (config digest, seed,
 versions; no timestamps, so reruns are byte-identical).
 
 The dataset root comes from `[data] root`, falling back to the
-BITCONTEXT_DATA environment variable.
+BITCONTEXT_DATA environment variable; a `[data] synthetic` run reads none.
 """
 
 from __future__ import annotations
@@ -76,22 +76,20 @@ _SYNTHETIC = {"pairs32": (32, 3), "pairs16": (16, 1)}
 
 
 def _load_data(cfg, split_key):
-    """Load a split, first writing [data] synthetic if no split has files."""
+    """The "train_split" or "eval_split" set: [data] synthetic built in
+    memory (the eval set seeded data.seed + 1), else the split's files."""
     dcfg = cfg["data"]
+    synth = dcfg["synthetic"]
+    if synth != "none":
+        if synth not in _SYNTHETIC:
+            raise RuntimeFailure(f"unknown synthetic dataset {synth!r}")
+        evals = int(split_key == "eval_split")
+        size, channels = _SYNTHETIC[synth]
+        return dt.synthetic_pairs_dataset(dcfg["n_test" if evals else "n_train"],
+                                          size, channels, dcfg["seed"] + evals)
     root = dcfg["root"] or os.environ.get("BITCONTEXT_DATA", "")
     if not root:
         raise RuntimeFailure("no dataset root: set [data] root or BITCONTEXT_DATA")
-    synth = dcfg["synthetic"]
-    splits = (dcfg["train_split"], dcfg["eval_split"])
-    if synth != "none" and not any(dt.split_files(root, s) for s in splits):
-        if synth not in _SYNTHETIC:
-            raise RuntimeFailure(f"unknown synthetic dataset {synth!r}")
-        if splits[0].startswith(splits[1]) or splits[1].startswith(splits[0]):
-            raise ConfigError(f"data.train_split {splits[0]!r} and data.eval_split "
-                              f"{splits[1]!r} would share files: one prefixes the other")
-        size, channels = _SYNTHETIC[synth]
-        dt.write_synthetic_dir(root, dcfg["n_train"], dcfg["n_test"], size=size,
-                               channels=channels, seed=dcfg["seed"], splits=splits)
     try:
         return dt.load_dir(root, dcfg[split_key])
     except (OSError, ValueError) as e:
@@ -145,13 +143,14 @@ def _train_config(cfg, step, train_data) -> tr.TrainConfig:
                           teacher_logits=teacher,
                           **{k: v for k, v in scfg.items() if k != "kd_logits"})
     try:
-        return tcfg.validate()
+        return tcfg.validate(len(train_data))
     except ValueError as e:  # the message leads with the field, here the key
         raise ConfigError(f"{section}.{e}") from None
 
 
 def cmd_train(args) -> int:
-    if args.steps and not {s.strip() for s in args.steps.split(",")} <= {"1", "2"}:
+    steps = [s.strip() for s in args.steps.split(",")]
+    if not set(steps) <= {"1", "2"}:
         raise ConfigError(f"--steps {args.steps!r} is not a comma list of 1s and 2s")
     cfg = _load_cfg(args)
     spec = _network_spec(cfg)
@@ -159,10 +158,8 @@ def cmd_train(args) -> int:
     net = nw.build(spec, seed=cfg["run"]["seed"])
     if args.init:
         nw.load_into(net, args.init)
-    steps = [int(s) for s in args.steps.split(",")] if args.steps else \
-        [1, 2] if "train2" in cfg["__sections__"] or not args.init else [2]
     history = []
-    for tcfg in [_train_config(cfg, step, train_data) for step in steps]:
+    for tcfg in [_train_config(cfg, int(step), train_data) for step in steps]:
         res = tr.train_step(net, train_data, tcfg)
         history.extend((tcfg.step, i, v) for i, v in enumerate(res.loss_history))
         last = np.mean(res.loss_history[-10:]) if res.loss_history else float("nan")
@@ -209,15 +206,14 @@ def cmd_analyze_binerr(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
     points = [int(p) for p in cfg["sweep"]["points"].split(",")]
-    base_spec = _network_spec(cfg) if "network" in cfg["__sections__"] else None
+    base_spec = _network_spec(cfg)
     train_data = eval_data = None
     cfgs = []
     if cfg["sweep"]["train"]:
         train_data = _load_data(cfg, "train_split")
         eval_data = _load_data(cfg, "eval_split")
         cfgs = [_train_config(cfg, step, train_data) for step in (1, 2)]
-    rows = tr.sweep_replacement(points, cfg["sweep"]["band"], base_spec=base_spec,
-                                classes=cfg["network"]["classes"],
+    rows = tr.sweep_replacement(base_spec, points, cfg["sweep"]["band"],
                                 train_data=train_data, eval_data=eval_data,
                                 cfgs=cfgs, seed=cfg["run"]["seed"])
     cols = list(rows[0].keys())
@@ -250,8 +246,9 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("train", help="run the two-step training pipeline")
     common(sp, output_required=True)
-    sp.add_argument("--init", help="initial checkpoint (step-2 / fine-tune)")
-    sp.add_argument("--steps", help="comma list of steps to run, e.g. 1,2")
+    sp.add_argument("--init", help="initial weights (step-2 / fine-tune)")
+    sp.add_argument("--steps", default="1,2",
+                    help="comma list of steps to run (default 1,2)")
     sp.add_argument("--history", help="write per-iteration losses (TSV)")
     sp.set_defaults(fn=cmd_train)
 

@@ -79,17 +79,14 @@ def parse_config(text: str) -> dict:
     """Parse and validate; returns {section: {key: typed value}} with
     defaults filled in."""
     cfg = {s: dict(v) for s, v in DEFAULTS.items()}
-    present = set()
     for ln, section, key, value in iter_ini(text, ConfigError):
         if section not in SCHEMA:
             raise ConfigError(f"line {ln}: unknown section [{section}]")
         if key is None:
-            present.add(section)
-        elif key not in SCHEMA[section]:
+            continue
+        if key not in SCHEMA[section]:
             raise ConfigError(f"line {ln}: unknown key {section}.{key}")
-        else:
-            cfg[section][key] = _coerce(section, key, value, SCHEMA[section][key])
-    cfg["__sections__"] = present
+        cfg[section][key] = _coerce(section, key, value, SCHEMA[section][key])
     return cfg
 
 
@@ -112,7 +109,6 @@ def apply_overrides(cfg: dict, overrides) -> dict:
             raise ConfigError(f"override targets unknown key {section}.{key}")
         cfg[section][key] = _coerce(section, key, value.strip(),
                                     SCHEMA[section][key])
-        cfg["__sections__"].add(section)
     return cfg
 
 

@@ -11,6 +11,7 @@ models while staying learnable in minutes on a CPU.
 from __future__ import annotations
 
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -121,14 +122,15 @@ def split_files(root, split: str) -> list:
     """The files that hold a split under root, [] when there are none.
 
     IDX naming: <split>-images.idx + <split>-labels.idx, one label per image.
-    CIFAR naming: <split>*.bin (all matching files, in name order).
+    CIFAR naming: <split>.bin or <split>_<digits>.bin (all such files, in
+    name order), so no split reads another's files.
     """
     idx = [os.path.join(root, f"{split}-{part}.idx") for part in ("images", "labels")]
     if os.path.exists(idx[0]):
         return idx
     names = sorted(os.listdir(root)) if os.path.isdir(root) else []
     return [os.path.join(root, f) for f in names
-            if f.startswith(split) and f.endswith(".bin")]
+            if re.fullmatch(re.escape(split) + r"(_\d+)?\.bin", f)]
 
 
 def load_dir(root, split: str) -> Dataset:
@@ -197,15 +199,14 @@ def synthetic_pairs_dataset(n: int, size: int = 32, channels: int = 3,
 
 
 def write_synthetic_dir(root, n_train: int, n_test: int, size: int = 32,
-                        channels: int = 3, seed: int = 0,
-                        splits=("train", "test")) -> None:
-    """Materialize a synthetic dataset directory, the training and test sets
-    named by splits as split_files reads them; 32x32 RGB goes out in the
-    CIFAR record format, anything else as IDX pairs."""
+                        channels: int = 3, seed: int = 0) -> None:
+    """Materialize a synthetic dataset directory, splits "train" (seeded
+    seed) and "test" (seed + 1) as split_files reads them; 32x32 RGB goes
+    out in the CIFAR record format, anything else as IDX pairs."""
     os.makedirs(root, exist_ok=True)
     sets = [make_blob_pairs(n, size, channels, seed + i)
             for i, n in enumerate((n_train, n_test))]
-    for split, (u8, y) in zip(splits, sets):
+    for split, (u8, y) in zip(("train", "test"), sets):
         if size == CIFAR_HW and channels == 3:
             write_cifar_bin(os.path.join(root, f"{split}.bin"), u8, y)
         else:

@@ -337,7 +337,7 @@ class Network:
     def load_state_arrays(self, arrays: dict):
         """Copy named tensors into the network's own arrays. A missing
         tensor, a tensor the network has no place for and a shape mismatch
-        raise CheckpointError."""
+        raise CheckpointError before any array is written."""
         own = self.state_arrays()
         extra = sorted(set(arrays) - set(own))
         if extra:
@@ -351,7 +351,8 @@ class Network:
                 raise CheckpointError(
                     f"shape mismatch for {name}: {src.shape} vs {dst.shape}"
                 )
-            dst[...] = src.astype(dst.dtype)
+        for name, dst in own.items():
+            dst[...] = arrays[name].astype(dst.dtype)
 
 
 def build(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:

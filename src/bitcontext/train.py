@@ -39,13 +39,14 @@ class TrainConfig:
     teacher_logits: np.ndarray | None = None
     kd_weight: float = 0.0
 
-    def validate(self):
+    def validate(self, n_train: int):
         """Raise ValueError, its message led by the field's name, on a value
-        training cannot use (NaN fails every range)."""
+        training on n_train images cannot use (NaN fails every range)."""
         for bad, name, rule in (
                 (self.step not in (1, 2), "step", "1 or 2"),
                 (not self.iterations >= 0, "iterations", ">= 0"),
-                (not self.batch_size >= 1, "batch_size", ">= 1"),
+                (not 1 <= self.batch_size <= n_train, "batch_size",
+                 f"in [1, {n_train}] (the training-set size)"),
                 (not self.lr >= 0.0, "lr", ">= 0"),
                 (not self.weight_decay >= 0.0, "weight_decay", ">= 0"),
                 (not 0.0 <= self.smoothing < 1.0, "smoothing", "in [0, 1)"),
@@ -209,7 +210,7 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
     A non-finite loss, or gradients whose second moments overflow, raise
     DivergenceError before that iteration's update is applied, with the
     batch-norm running statistics restored to their values before it."""
-    cfg.validate()
+    cfg.validate(len(data))
     net.step = cfg.step
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(net.params(), weight_decay=cfg.weight_decay)
@@ -292,24 +293,21 @@ def evaluate(net: nw.Network, data: Dataset, batch_size: int = 256,
     return Metrics(correct1 / n, correct5 / n, total_loss / n, n)
 
 
-def sweep_replacement(n_mlp_list, band: float = 0.03,
-                      base_spec: nw.NetworkSpec | None = None, classes=10,
+def sweep_replacement(base_spec: nw.NetworkSpec, n_mlp_list, band: float = 0.03,
                       train_data: Dataset | None = None,
                       eval_data: Dataset | None = None,
                       cfgs=(), seed: int = 0):
     """Cost (and optionally accuracy) rows for the conv->MLP trade-off.
 
-    Each point converts trailing stride-1 conv blocks of the base spec
-    (desk_sweep(classes) by default) into triples of MLP blocks. A point is
-    in_band when its OPs lie within +-band of the base spec's, mirroring
-    the essentially-flat full-scale budget. With cfgs, each point's network
-    is built from seed, trained by train_step once per config on
-    train_data, and scored on eval_data as top1.
+    Each point converts trailing stride-1 conv blocks of base_spec into
+    triples of MLP blocks. A point is in_band when its OPs lie within +-band
+    of the base spec's, mirroring the essentially-flat full-scale budget.
+    With cfgs, each point's network is built from seed, trained by
+    train_step once per config on train_data, and scored on eval_data as
+    top1.
     """
     if cfgs and (train_data is None or eval_data is None):
         raise ValueError("a trained sweep needs train_data and eval_data")
-    if base_spec is None:
-        base_spec = nw.desk_sweep(classes=classes)
     base_ops = cm.count_network(base_spec).ops
     lo, hi = base_ops * (1 - band), base_ops * (1 + band)
     rows = []

@@ -99,6 +99,29 @@ class TestTrainEval:
         net = nw.load("ck2.bin")
         assert net.binary_weights
 
+    def test_init_sets_only_the_starting_weights(self, workdir):
+        """train runs --steps (default 1,2) with or without --init, and an
+        empty [train2] header changes nothing: both configs hold the same
+        values. A stem-and-classifier spec keeps step 2's default 500
+        iterations fast."""
+        (workdir / "net.spec").write_text(
+            "[network]\ninput = 16x16\nin_channels = 1\nclasses = 10\n"
+            "[layer]\nkind = stem-conv\nout = 4\nstride = 2\n"
+            "[layer]\nkind = classifier\nout = 10\n")
+        base = ("[network]\nspec_file = net.spec\n[data]\nsynthetic = pairs16\n"
+                "n_train = 64\nn_test = 16\n[train]\niterations = 3\n")
+        (workdir / "plain.cfg").write_text(base)
+        (workdir / "header.cfg").write_text(base + "[train2]\n")
+        assert run(["train", "--config", "plain.cfg", "--output", "init.bin",
+                    "--steps", "1"]) == 0
+        for name in ("plain", "header"):
+            assert run(["train", "--config", f"{name}.cfg", "--init", "init.bin",
+                        "--output", f"{name}.bin", "--history", f"{name}.tsv"]) == 0
+        for suffix in (".bin", ".bin.manifest.json", ".tsv"):
+            assert open(f"plain{suffix}", "rb").read() == open(f"header{suffix}", "rb").read()
+        steps = [line.split("\t")[0] for line in open("plain.tsv").read().splitlines()[1:]]
+        assert steps == ["1"] * 3 + ["2"] * 500
+
     def test_dynamic_finetune_from_plain_checkpoint(self, workdir):
         """Zero-initialized embeddings fine-tune from a plain checkpoint."""
         run(["train", "--config", "run.cfg", "--output", "plain.bin"])
@@ -300,38 +323,10 @@ class TestErrors:
         assert "step 1:" not in out and not os.path.exists("ck.bin")
         assert not os.path.exists("data")  # rejected before any data is written
 
-    @pytest.mark.parametrize("synthetic,preset,files", [
-        ("pairs16", "desk-micro", ["digits-images.idx", "digits-labels.idx",
-                                   "holdout-images.idx", "holdout-labels.idx"]),
-        ("pairs32", "desk-tiny", ["digits.bin", "holdout.bin"])])
-    def test_synthetic_data_written_under_the_split_names(self, workdir, capsys,
-                                                          synthetic, preset, files):
-        args = [a for s in [f"data.synthetic={synthetic}", f"network.preset={preset}",
-                            "data.root=data", "data.train_split=digits",
-                            "data.eval_split=holdout", "data.n_train=40", "data.n_test=30",
-                            "train.iterations=1", "train2.iterations=1"]
-                for a in ("--set", s)]
-        assert run(["train", "--output", "ck.bin"] + args) == 0
-        assert sorted(os.listdir("data")) == files
-        capsys.readouterr()
-        assert run(["eval", "--checkpoint", "ck.bin"] + args) == 0
-        assert capsys.readouterr().out.split()[-1] == "30"
-
-    @pytest.mark.parametrize("train_split,eval_split", [("same", "same"),
-                                                        ("test", "test2")])
-    def test_synthetic_splits_sharing_files_is_usage_error(self, workdir, capsys,
-                                                           train_split, eval_split):
-        rc = run(["train", "--config", "run.cfg", "--output", "ck.bin",
-                  "--set", f"data.train_split={train_split}",
-                  "--set", f"data.eval_split={eval_split}"])
-        assert rc == 1
-        assert "data.train_split" in capsys.readouterr().err
-        assert not os.path.exists("data")
-
     def test_synthetic_data_not_written_beside_a_real_split(self, tmp_path,
                                                             monkeypatch, capsys):
-        """Split files are found by load_dir's own rule (<split>*.bin), so a
-        CIFAR-named root is loaded as it is, with no synthetic files added."""
+        """A synthetic run builds its sets in memory: the CIFAR files under
+        root are neither read nor added to."""
         monkeypatch.chdir(tmp_path)
         os.mkdir("data")
         for name, n in (("data_batch_1.bin", 12), ("test_batch.bin", 10)):
@@ -339,25 +334,61 @@ class TestErrors:
             dt.write_cifar_bin(f"data/{name}", u8, y)
         sets = ["data.root=data", "data.synthetic=pairs32", "data.n_train=40",
                 "data.n_test=30", "data.train_split=data_batch",
+                "train.batch_size=40", "train2.batch_size=40",
                 "train.iterations=0", "train2.iterations=0"]
         args = [a for s in sets for a in ("--set", s)]
         assert run(["train", "--output", "ck.bin"] + args) == 0
         capsys.readouterr()
         assert run(["eval", "--checkpoint", "ck.bin"] + args) == 0
-        assert capsys.readouterr().out.split()[-1] == "10"
+        assert capsys.readouterr().out.split()[-1] == "30"
         assert sorted(os.listdir("data")) == ["data_batch_1.bin", "test_batch.bin"]
+
+    @pytest.mark.parametrize("synthetic,preset", [("pairs16", "desk-micro"),
+                                                  ("pairs32", "desk-tiny")])
+    def test_synthetic_sets_follow_the_config_not_root(
+            self, workdir, capsys, synthetic, preset):
+        """eval scores the set data.n_test and data.seed describe, whatever
+        an earlier run used and whatever the split names; root is never made."""
+        args = [a for s in [f"data.synthetic={synthetic}", f"network.preset={preset}",
+                            "data.train_split=digits", "data.eval_split=digits",
+                            "data.n_train=40", "data.n_test=30",
+                            "train.batch_size=40", "train2.batch_size=40",
+                            "train.iterations=1", "train2.iterations=1"]
+                for a in ("--set", s)]
+        assert run(["train", "--output", "ck.bin", "--config", "run.cfg"] + args) == 0
+        scores = []
+        for extra in ([], ["data.n_test=100"], ["data.n_test=100", "data.seed=9"]):
+            capsys.readouterr()
+            assert run(["eval", "--checkpoint", "ck.bin", "--config", "run.cfg"] + args
+                       + [a for s in extra for a in ("--set", s)]) == 0
+            scores.append(capsys.readouterr().out.split()[-4:])
+        assert [n for *_, n in scores] == ["30", "100", "100"]
+        assert scores[1] != scores[2]  # data.seed changes the images
+        assert not os.path.exists("data")
 
     def test_dataset_root_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        dt.write_synthetic_dir(tmp_path / "envdata", 200, 80, size=16, channels=1)
         monkeypatch.setenv("BITCONTEXT_DATA", str(tmp_path / "envdata"))
-        rc = run(["train", "--output", "ck.bin",
-                  "--set", "data.synthetic=pairs16",
-                  "--set", "data.n_train=200", "--set", "data.n_test=80",
-                  "--set", "network.preset=desk-micro",
-                  "--set", "train.iterations=2",
-                  "--set", "train2.iterations=2"])
-        assert rc == 0
-        assert (tmp_path / "envdata" / "train-images.idx").exists()
+        args = [a for s in ["network.preset=desk-micro", "train.iterations=2",
+                            "train2.iterations=2"] for a in ("--set", s)]
+        assert run(["train", "--output", "ck.bin"] + args) == 0
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", "ck.bin"] + args) == 0
+        assert capsys.readouterr().out.split()[-1] == "80"
+
+    @pytest.mark.parametrize("verb", [["train", "--output", "ck.bin"],
+                                      ["sweep", "--set", "sweep.train=true"]])
+    @pytest.mark.parametrize("section", ["train", "train2"])
+    def test_batch_larger_than_the_training_set_is_usage_error(
+            self, workdir, capsys, verb, section):
+        """workdir trains on 300 images; the check runs before step 1 trains."""
+        rc = run(verb + ["--config", "run.cfg", "--set", "sweep.points=0",
+                         "--set", f"{section}.batch_size=301"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert f"error: {section}.batch_size must be in [1, 300]" in err
+        assert "step 1:" not in out and not os.path.exists("ck.bin")
 
 
 class TestReports:
@@ -379,6 +410,20 @@ class TestReports:
         n_mlp = sum(ls.kind == "binary-mlp"
                     for ls in nw.desk_micro().layers)
         assert len(lines) == 1 + 3 * n_mlp
+
+    def test_sweep_base_is_the_configured_network(self, tmp_path, monkeypatch):
+        """No config, an empty [network] header and a key set to its default
+        are one config, so one sweep: over network.preset's network."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.cfg").write_text("[network]\n")
+        outputs = []
+        for i, extra in enumerate([[], ["--config", "empty.cfg"],
+                                   ["--set", "network.classes=10"]]):
+            assert run(["sweep", "--output", f"s{i}"] + extra) == 0
+            outputs.append((open(f"s{i}").read(), open(f"s{i}.manifest.json").read()))
+        assert outputs[0] == outputs[1] == outputs[2]
+        row = dict(zip(*(line.split("\t") for line in outputs[0][0].splitlines()[:2])))
+        assert int(row["bops"]) == cm.count_network(nw.desk_tiny()).bops
 
     def test_sweep_rows(self, workdir, capsys):
         assert run(["sweep", "--set", "sweep.points=0,3,6"]) == 0
@@ -446,6 +491,24 @@ class TestConfig:
         diff = {k for k in d["train"] if d["train"][k] != d["train2"][k]}
         assert diff == {"lr", "weight_decay"} and d["train2"]["weight_decay"] == 0.0
         assert set(d["train2"]) == set(d["train"])
+
+    @pytest.mark.parametrize("text", ["", "[network]\n[train2]\n", "[run]\nseed = 0\n"])
+    def test_parsed_config_is_exactly_the_schema(self, text):
+        """A config holds its values and nothing else, so a section header
+        alone, or a key set to its default, is the default config."""
+        cfg = config.parse_config(text)
+        assert set(cfg) == set(config.SCHEMA) and cfg == config.DEFAULTS
+
+    def test_digest_covers_every_schema_key(self):
+        default = config.config_digest(config.parse_config(""))
+        for section, keys in config.DEFAULTS.items():
+            for key, value in keys.items():
+                other = str(not value) if isinstance(value, bool) else \
+                    value + "x" if isinstance(value, str) else str(value + 1)
+                cfg = config.apply_overrides(config.parse_config(""),
+                                             [f"{section}.{key}={other}"])
+                assert cfg[section][key] != value
+                assert config.config_digest(cfg) != default, f"{section}.{key}"
 
     def test_schema_types_are_the_defaults_types(self):
         cfg = config.apply_overrides(config.parse_config(""), [

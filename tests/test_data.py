@@ -79,6 +79,18 @@ class TestLoadDir:
         ds = dt.load_dir(tmp_path, "test")
         assert ds.x.shape == (10, 1, 16, 16)
 
+    def test_cifar_split_reads_only_its_own_files(self, tmp_path):
+        """A split is <split>.bin or <split>_<digits>.bin, so test_extra.bin
+        is not split test's, and the CIFAR-10 layout still loads."""
+        for name, n in (("test.bin", 12), ("test_extra.bin", 7), ("data_batch_1.bin", 3),
+                        ("data_batch_2.bin", 4), ("test_batch.bin", 5)):
+            dt.write_cifar_bin(tmp_path / name, *dt.make_blob_pairs(n, seed=n))
+        assert len(dt.load_dir(tmp_path, "test")) == 12
+        assert len(dt.load_dir(tmp_path, "data_batch")) == 3 + 4
+        assert len(dt.load_dir(tmp_path, "test_batch")) == 5
+        with pytest.raises(FileNotFoundError):
+            dt.load_dir(tmp_path, "data")
+
     def test_idx_image_label_count_mismatch(self, tmp_path):
         dt.write_idx(tmp_path / "train-images.idx", np.zeros((10, 4, 4), np.uint8))
         dt.write_idx(tmp_path / "train-labels.idx", np.zeros(4, np.uint8))
@@ -101,6 +113,18 @@ class TestSynthetic:
         assert u8.dtype == np.uint8
         assert set(np.unique(labels)) <= set(range(10))
         assert len(dt.pair_offsets(32)) == 10
+
+    @pytest.mark.parametrize("size,channels", [(32, 3), (16, 1)])
+    def test_written_dir_loads_the_in_memory_sets(self, tmp_path, size, channels):
+        """The CLI builds a synthetic run's sets in memory, train seeded seed
+        and eval seed + 1; written out and read back they are the same."""
+        dt.write_synthetic_dir(tmp_path, 200, 80, size=size, channels=channels, seed=4)
+        for split, n, seed in (("train", 200, 4), ("test", 80, 5)):
+            disk = dt.load_dir(tmp_path, split)
+            mem = dt.synthetic_pairs_dataset(n, size, channels, seed)
+            assert disk.x.dtype == mem.x.dtype and disk.y.dtype == mem.y.dtype
+            assert np.array_equal(disk.x, mem.x) and np.array_equal(disk.y, mem.y)
+            assert disk.classes == mem.classes
 
     def test_offsets_distinct_under_torus_negation(self):
         """Classes must stay separable: no two offsets coincide modulo the

@@ -625,6 +625,25 @@ class TestPersistence:
         for k, v in again.state_arrays().items():
             assert np.array_equal(into.state_arrays()[k], v), k
 
+    def test_failed_load_leaves_the_network_unchanged(self, tmp_path):
+        """Every name and shape is checked before the first write: a 5-class
+        checkpoint fails on the classifier, a state short of its last tensor
+        on that tensor, and the earlier layers keep their own values."""
+        p = tmp_path / "five.ckpt"
+        nw.save(nw.build(nw.desk_tiny(classes=5), seed=3), p)
+        short = nw.build(nw.desk_tiny(), seed=3).state_arrays()
+        last = list(short)[-1]
+        short.pop(last)
+        net = nw.build(nw.desk_tiny(), seed=4)
+        before = {k: v.copy() for k, v in net.state_arrays().items()}
+        for load, match in ((lambda: nw.load_into(net, p), "shape mismatch for p.L08.w"),
+                            (lambda: net.load_state_arrays(short),
+                             f"missing tensor {last}")):
+            with pytest.raises(nw.CheckpointError, match=match):
+                load()
+            for k, v in net.state_arrays().items():
+                assert np.array_equal(before[k], v), k
+
     def test_binary_weights_is_derived_from_the_step(self):
         net = nw.build(nw.desk_micro(), seed=0)
         assert net.step == 0 and net.binary_weights is True

@@ -253,7 +253,8 @@ class TestCosine:
 
 class TestTrainStep:
     @pytest.mark.parametrize("field,value", [
-        ("step", 3), ("iterations", -3), ("batch_size", 0), ("lr", -1.0),
+        ("step", 3), ("iterations", -3), ("batch_size", 0), ("batch_size", 601),
+        ("lr", -1.0),
         ("lr", float("nan")), ("weight_decay", -1e-5), ("smoothing", 1.0),
         ("augment", "flip"), ("kd_weight", -0.5), ("kd_weight", 1.5)])
     def test_unusable_config_rejected_before_training(self, micro_data, field, value):
@@ -270,7 +271,7 @@ class TestTrainStep:
         for cfg in (tr.TrainConfig(iterations=0, batch_size=1, lr=0.0,
                                    weight_decay=0.0, kd_weight=1.0),
                     *(tr.TrainConfig(augment=a) for a in ("none", "roll", "flip-crop"))):
-            assert cfg.validate() is cfg
+            assert cfg.validate(64) is cfg  # batch_size 64 of 64 images
 
     def test_zero_lr_leaves_parameters_unchanged(self, micro_data):
         net = nw.build(nw.desk_micro(), seed=0)
@@ -436,29 +437,29 @@ class TestEvaluate:
 
 class TestSweep:
     def test_baseline_point_equals_base_spec(self):
-        rows = tr.sweep_replacement([0])
+        rows = tr.sweep_replacement(nw.desk_sweep(), [0])
         from bitcontext import costmodel as cm
         assert rows[0]["ops"] == cm.count_network(nw.desk_sweep(n_mlp=0)).ops
         assert rows[0]["in_band"]
 
     def test_steps_stay_within_three_percent_band(self):
-        rows = tr.sweep_replacement([0, 3, 6])
+        rows = tr.sweep_replacement(nw.desk_sweep(), [0, 3, 6])
         base = rows[0]["ops"]
         for r in rows:
             assert abs(r["ops"] - base) / base <= 0.03
             assert r["in_band"]
 
     def test_conv_count_monotone_nonincreasing(self):
-        rows = tr.sweep_replacement([0, 3, 6, 9])
+        rows = tr.sweep_replacement(nw.desk_sweep(), [0, 3, 6, 9])
         convs = [r["n_conv"] for r in rows]
         assert convs == sorted(convs, reverse=True)
         assert len(rows) == 4
 
     def test_infeasible_replacement_rejected(self):
         with pytest.raises(nw.SpecError):
-            tr.sweep_replacement([33])
+            tr.sweep_replacement(nw.desk_sweep(), [33])
         with pytest.raises(nw.SpecError):
-            tr.sweep_replacement([4])  # not a whole conv block
+            tr.sweep_replacement(nw.desk_sweep(), [4])  # not a whole conv block
 
     def test_replacement_skips_downsample_layers(self):
         spec = nw.desk_sweep(n_mlp=30)
@@ -477,7 +478,7 @@ class TestSweep:
                               seed=0)
         cfg2 = tr.TrainConfig(step=2, iterations=3, batch_size=32, lr=1e-3,
                               weight_decay=0.0, seed=1)
-        rows = tr.sweep_replacement([0, 3], base_spec=base, train_data=micro_data,
+        rows = tr.sweep_replacement(base, [0, 3], train_data=micro_data,
                                     eval_data=micro_data, cfgs=(cfg1, cfg2))
         assert all("top1" in r for r in rows)
         assert rows[0]["n_conv"] == 2 and rows[1]["n_conv"] == 1
@@ -492,14 +493,14 @@ class TestSweep:
         for cfg in cfgs:
             tr.train_step(net, micro_data, cfg)
         top1 = tr.evaluate(net, micro_data).top1
-        rows = tr.sweep_replacement([0], base_spec=spec, train_data=micro_data,
+        rows = tr.sweep_replacement(spec, [0], train_data=micro_data,
                                     eval_data=micro_data, cfgs=cfgs, seed=6)
         assert rows[0]["top1"] == top1
 
     def test_trained_sweep_needs_eval_data(self, micro_data):
         cfg = tr.TrainConfig(step=1, iterations=1, batch_size=32)
         with pytest.raises(ValueError, match="needs train_data and eval_data"):
-            tr.sweep_replacement([0], base_spec=nw.desk_micro(),
+            tr.sweep_replacement(nw.desk_micro(), [0],
                                  train_data=micro_data, cfgs=[cfg])
 
     def test_band_sets_the_ops_window(self):
@@ -507,5 +508,5 @@ class TestSweep:
         ops = cm.count_network(nw.desk_sweep(n_mlp=3)).ops
         gap = abs(ops - base) / base
         assert 0 < gap < 0.03
-        assert tr.sweep_replacement([3], band=gap * 1.001)[0]["in_band"]
-        assert not tr.sweep_replacement([3], band=gap * 0.999)[0]["in_band"]
+        assert tr.sweep_replacement(nw.desk_sweep(), [3], band=gap * 1.001)[0]["in_band"]
+        assert not tr.sweep_replacement(nw.desk_sweep(), [3], band=gap * 0.999)[0]["in_band"]
