@@ -38,10 +38,10 @@ class BinErrRow:
 class BinErrReport:
     rows: list = field(default_factory=list)
 
-    def to_delimited(self, sep="\t") -> str:
-        lines = [sep.join(["layer", "branch", "error"])]
+    def to_delimited(self) -> str:
+        lines = ["\t".join(["layer", "branch", "error"])]
         for r in self.rows:
-            lines.append(sep.join([str(r.layer), r.branch, f"{r.error:.8e}"]))
+            lines.append("\t".join([str(r.layer), r.branch, f"{r.error:.8e}"]))
         return "\n".join(lines)
 
 

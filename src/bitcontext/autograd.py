@@ -33,6 +33,7 @@ import numpy as np
 from .bittensor import DimensionError, broadcast_threshold, im2col
 
 _mode = threading.local()  # per-thread switch set by no_grad
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5  # batchnorm's running-statistics momentum, variance guard
 
 
 def qb_forward(x):
@@ -354,19 +355,19 @@ def quartile_shift(x: Tensor, offsets) -> Tensor:
 
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
-              training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+              training: bool) -> Tensor:
     """Per-channel batch norm over NCHW; running stats updated in place."""
     axes = (0, 2, 3)
     if training:
         mu = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         mu, var = running_mean, running_var
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu[None, :, None, None]) * inv_std[None, :, None, None]
     out = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
 

@@ -318,10 +318,10 @@ def weight_scale(w: np.ndarray) -> np.ndarray:
     return np.abs(w.reshape(w.shape[0], -1)).mean(axis=1).astype(dtype)
 
 
-def pack_filters(w: np.ndarray, threshold=0.0) -> BitTensor:
-    """Pack a filter bank with pack: a (c_out, c_in, k, k) bank along input
-    channels like an NCHW activation, a (c_out, fan_in) bank row-wise."""
+def pack_filters(w: np.ndarray) -> BitTensor:
+    """Sign-pack a filter bank (pack at threshold 0): a (c_out, c_in, k, k) bank
+    along input channels like an NCHW activation, a (c_out, fan_in) one row-wise."""
     w = np.asarray(w)
     if w.ndim not in (2, 4):
         raise DimensionError(f"filter bank must be 2-D or 4-D, got shape {w.shape}")
-    return pack(w, threshold)
+    return pack(w)

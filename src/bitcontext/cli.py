@@ -82,11 +82,15 @@ def _load_data(cfg, split_key):
     synth = dcfg["synthetic"]
     if synth != "none":
         if synth not in _SYNTHETIC:
-            raise RuntimeFailure(f"unknown synthetic dataset {synth!r}")
+            raise ConfigError(f"data.synthetic = {synth!r} is not one of none, "
+                              f"{', '.join(sorted(_SYNTHETIC))}")
         evals = int(split_key == "eval_split")
+        n_key = "n_test" if evals else "n_train"
+        if dcfg[n_key] < 1:
+            raise ConfigError(f"data.{n_key} must be >= 1, got {dcfg[n_key]}")
         size, channels = _SYNTHETIC[synth]
-        return dt.synthetic_pairs_dataset(dcfg["n_test" if evals else "n_train"],
-                                          size, channels, dcfg["seed"] + evals)
+        return dt.synthetic_pairs_dataset(dcfg[n_key], size, channels,
+                                          dcfg["seed"] + evals)
     root = dcfg["root"] or os.environ.get("BITCONTEXT_DATA", "")
     if not root:
         raise RuntimeFailure("no dataset root: set [data] root or BITCONTEXT_DATA")
@@ -205,22 +209,25 @@ def cmd_analyze_binerr(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_cfg(args)
-    points = [int(p) for p in cfg["sweep"]["points"].split(",")]
+    scfg = cfg["sweep"]
+    if not all(p.strip().isdecimal() for p in scfg["points"].split(",")):
+        raise ConfigError(f"sweep.points = {scfg['points']!r} is not a comma "
+                          "list of non-negative integers")
+    if not scfg["band"] >= 0.0:
+        raise ConfigError(f"sweep.band must be >= 0, got {scfg['band']}")
+    points = [int(p) for p in scfg["points"].split(",")]
     base_spec = _network_spec(cfg)
     train_data = eval_data = None
     cfgs = []
-    if cfg["sweep"]["train"]:
+    if scfg["train"]:
         train_data = _load_data(cfg, "train_split")
         eval_data = _load_data(cfg, "eval_split")
         cfgs = [_train_config(cfg, step, train_data) for step in (1, 2)]
-    rows = tr.sweep_replacement(base_spec, points, cfg["sweep"]["band"],
+    rows = tr.sweep_replacement(base_spec, points, scfg["band"],
                                 train_data=train_data, eval_data=eval_data,
                                 cfgs=cfgs, seed=cfg["run"]["seed"])
-    cols = list(rows[0].keys())
-    lines = ["\t".join(cols)]
-    for r in rows:
-        lines.append("\t".join(str(r[c]) for c in cols))
-    _emit("\n".join(lines), args, cfg)
+    lines = [list(rows[0])] + [[str(v) for v in r.values()] for r in rows]
+    _emit("\n".join("\t".join(line) for line in lines), args, cfg)
     return 0
 
 

@@ -72,13 +72,13 @@ class CostReport:
                      f"{self.ops_convfc:>14.1f}")
         return "\n".join(lines)
 
-    def to_delimited(self, sep="\t") -> str:
-        lines = [sep.join(["layer", "bops", "flops", "ops"])]
+    def to_delimited(self) -> str:
+        lines = ["\t".join(["layer", "bops", "flops", "ops"])]
         for r in self.rows:
-            lines.append(sep.join([r.name, str(r.bops), str(r.flops),
-                                   f"{r.bops / 64.0 + r.flops:.1f}"]))
-        lines.append(sep.join(["total", str(self.bops), str(self.flops),
-                               f"{self.ops:.1f}"]))
+            lines.append("\t".join([r.name, str(r.bops), str(r.flops),
+                                    f"{r.bops / 64.0 + r.flops:.1f}"]))
+        lines.append("\t".join(["total", str(self.bops), str(self.flops),
+                                f"{self.ops:.1f}"]))
         return "\n".join(lines)
 
 

@@ -19,6 +19,8 @@ import numpy as np
 
 IDX_UBYTE = 0x08
 IDX_FLOAT = 0x0D
+BLOB_NOISE = 0.18  # blob-pair pixel noise: standard deviation in field units
+BLOB_SIGMA = 1.3  # blob radius: Gaussian sigma in pixels
 
 
 @dataclass
@@ -122,15 +124,17 @@ def split_files(root, split: str) -> list:
     """The files that hold a split under root, [] when there are none.
 
     IDX naming: <split>-images.idx + <split>-labels.idx, one label per image.
-    CIFAR naming: <split>.bin or <split>_<digits>.bin (all such files, in
-    name order), so no split reads another's files.
+    CIFAR naming: <split>.bin, then every <split>_<digits>.bin in the
+    order of its integer (data_batch_2 before data_batch_10), so no split
+    reads another's files.
     """
     idx = [os.path.join(root, f"{split}-{part}.idx") for part in ("images", "labels")]
     if os.path.exists(idx[0]):
         return idx
-    names = sorted(os.listdir(root)) if os.path.isdir(root) else []
-    return [os.path.join(root, f) for f in names
-            if re.fullmatch(re.escape(split) + r"(_\d+)?\.bin", f)]
+    names = os.listdir(root) if os.path.isdir(root) else []
+    found = [(m[1] is not None, int(m[1] or 0), f) for f in names
+             if (m := re.fullmatch(re.escape(split) + r"(?:_(\d+))?\.bin", f))]
+    return [os.path.join(root, f) for *_, f in sorted(found)]
 
 
 def load_dir(root, split: str) -> Dataset:
@@ -166,8 +170,7 @@ def pair_offsets(size: int):
             (q, q), (q, -q), (q, h), (h, q), (h, h)]
 
 
-def make_blob_pairs(n: int, size: int = 32, channels: int = 3, seed: int = 0,
-                    noise: float = 0.18, blob_sigma: float = 1.3):
+def make_blob_pairs(n: int, size: int = 32, channels: int = 3, seed: int = 0):
     """Render n labeled blob-pair images; returns (uint8 NCHW, labels)."""
     rng = np.random.default_rng(seed)
     offsets = pair_offsets(size)
@@ -183,11 +186,11 @@ def make_blob_pairs(n: int, size: int = 32, channels: int = 3, seed: int = 0,
         dx = np.abs(grid[None, :] - px[:, None])
         dx = np.minimum(dx, size - dx).astype(np.float32)
         d2 = dy[:, :, None] ** 2 + dx[:, None, :] ** 2
-        return np.exp(-d2 / (2.0 * blob_sigma ** 2))
+        return np.exp(-d2 / (2.0 * BLOB_SIGMA ** 2))
 
     field = blob(cy, cx) + blob((cy + off[:, 0]) % size, (cx + off[:, 1]) % size)
     field = np.clip(field, 0.0, 1.0)
-    img = field[:, None, :, :] + rng.normal(0.0, noise, size=(n, channels, size, size))
+    img = field[:, None] + rng.normal(0.0, BLOB_NOISE, size=(n, channels, size, size))
     u8 = np.clip(img * 160.0 + 48.0, 0, 255).astype(np.uint8)
     return u8, labels.astype(np.int64)
 

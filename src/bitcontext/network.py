@@ -82,13 +82,14 @@ class LayerSpec:
         if self.kind == "binary-mlp":
             if self.c_in != self.c_out or self.stride != 1:
                 raise SpecError("binary-mlp is stride 1 and must preserve channels")
-            if self.c_in % 4 != 0:
-                raise SpecError(
-                    f"binary-mlp needs channels divisible by 4, got {self.c_in}"
-                )
             if len(self.branches) != 3 or any(b not in BRANCH_KINDS
                                               for b in self.branches):
                 raise SpecError(f"bad branch assignment {self.branches!r}")
+        # The MLP block's token shifts and the dynamic embedding's bottleneck
+        # both split the input channels in quarters.
+        if (self.kind == "binary-mlp" or self.dynamic) and self.c_in % 4 != 0:
+            kind = f"dynamic {self.kind}" if self.dynamic else self.kind
+            raise SpecError(f"{kind} needs channels divisible by 4, got {self.c_in}")
         if self.kind == "binary-conv-3x3" and (self.stride != 1
                                                or self.c_in != self.c_out):
             raise SpecError("binary-conv-3x3 is stride 1 and channel preserving; "
@@ -282,18 +283,12 @@ class Network:
         return self.step != 1
 
     def params(self) -> dict:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, p in layer.params().items():
-                out[f"L{i:02d}.{name}"] = p
-        return out
+        return {f"L{i:02d}.{name}": p for i, layer in enumerate(self.layers)
+                for name, p in layer.params().items()}
 
     def buffers(self) -> dict:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, b in layer.buffers().items():
-                out[f"L{i:02d}.{name}"] = b
-        return out
+        return {f"L{i:02d}.{name}": b for i, layer in enumerate(self.layers)
+                for name, b in layer.buffers().items()}
 
     def zero_grad(self):
         for p in self.params().values():
@@ -364,12 +359,10 @@ def build(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:
         if ls.kind == "stem-conv":
             layers.append(StemConv(ls.c_in, ls.c_out, ls.stride, rng, dtype,
                                    kernel=ls.kernel, pool=ls.pool))
-        elif ls.kind in ("binary-conv-3x3", "downsample"):
-            layers.append(BinaryConvBlock(ls.c_in, ls.c_out, 3, ls.stride, rng,
+        elif ls.kind in ("binary-conv-3x3", "binary-conv-1x1", "downsample"):
+            k = 1 if ls.kind == "binary-conv-1x1" else 3
+            layers.append(BinaryConvBlock(ls.c_in, ls.c_out, k, ls.stride, rng,
                                           dtype, dynamic=ls.dynamic))
-        elif ls.kind == "binary-conv-1x1":
-            layers.append(BinaryConvBlock(ls.c_in, ls.c_out, 1, 1, rng, dtype,
-                                          dynamic=ls.dynamic))
         elif ls.kind == "binary-mlp":
             layers.append(BinaryMlpBlock(ls.c_in, rng, dtype, branches=ls.branches))
         elif ls.kind == "classifier":
@@ -381,63 +374,81 @@ def build(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:
 # presets
 
 
-def _mobilenet_pairs():
-    # (c_out of the 1x1 conv, stride of the 3x3 conv) per MobileNet-V1 pair
-    return [(64, 1), (128, 2), (128, 1), (256, 2), (256, 1), (512, 2),
-            (512, 1), (512, 1), (512, 1), (512, 1), (512, 1), (1024, 2),
-            (1024, 1)]
+def replace_trailing_convs(spec: NetworkSpec, n_mlp: int) -> NetworkSpec:
+    """Swap the last n_mlp/3 stride-1 3x3 conv blocks for MLP triples.
+
+    Downsampling blocks are never replaced; asking for more replacements
+    than there are eligible conv blocks is an error.
+    """
+    if n_mlp < 0 or n_mlp % 3 != 0:
+        raise SpecError("replacement converts whole conv blocks (3 MLPs each), "
+                        f"got n_mlp = {n_mlp}")
+    candidates = [i for i, ls in enumerate(spec.layers)
+                  if ls.kind == "binary-conv-3x3" and ls.c_in % 4 == 0]
+    k = n_mlp // 3
+    if k > len(candidates):
+        raise SpecError(f"cannot replace {k} conv blocks; only {len(candidates)} "
+                        "eligible (downsampling layers are never replaced)")
+    chosen = set(candidates[len(candidates) - k:])
+    layers = []
+    for i, ls in enumerate(spec.layers):
+        if i in chosen:
+            layers.extend(LayerSpec("binary-mlp", ls.c_in, ls.c_in) for _ in range(3))
+        else:
+            layers.append(ls)
+    name = f"{spec.name}-mlp{n_mlp}" if n_mlp else spec.name
+    return NetworkSpec(name, spec.input_hw, spec.classes, layers,
+                       spec.in_channels).validate()
 
 
-def bcdnet_a_like(classes=1000, dynamic=False, replaced=(9, 10, 12)) -> NetworkSpec:
+# (c_out of the 1x1 conv, stride of the 3x3 conv) per MobileNet-V1 pair
+_MOBILENET_PAIRS = [(64, 1), (128, 2), (128, 1), (256, 2), (256, 1), (512, 2),
+                    (512, 1), (512, 1), (512, 1), (512, 1), (512, 1), (1024, 2),
+                    (1024, 1)]
+
+
+def bcdnet_a_like(classes=1000) -> NetworkSpec:
     """MobileNet-V1-shaped binary network with the last three stride-1 3x3
     blocks swapped for three binary MLP blocks each (11 conv + 9 MLP)."""
     layers = [LayerSpec("stem-conv", 3, 32, stride=2)]
-    c = 32
-    mlp_started = False
-    for i, (c_out, stride) in enumerate(_mobilenet_pairs()):
-        if i in replaced:
-            mlp_started = True
-            for _ in range(3):
-                layers.append(LayerSpec("binary-mlp", c, c))
-        elif stride == 2:
-            layers.append(LayerSpec("downsample", c, c, stride=2,
-                                    dynamic=dynamic and not mlp_started))
-        else:
-            layers.append(LayerSpec("binary-conv-3x3", c, c,
-                                    dynamic=dynamic and not mlp_started))
-        layers.append(LayerSpec("binary-conv-1x1", c, c_out,
-                                dynamic=dynamic and not mlp_started))
-        c = c_out
-    layers.append(LayerSpec("classifier", c, classes))
-    name = "bcdnet-b-like" if dynamic else "bcdnet-a-like"
-    return NetworkSpec(name, (224, 224), classes, layers).validate()
+    for c_out, stride in _MOBILENET_PAIRS:
+        c = layers[-1].c_out
+        kind = "downsample" if stride == 2 else "binary-conv-3x3"
+        layers += [LayerSpec(kind, c, c, stride=stride),
+                   LayerSpec("binary-conv-1x1", c, c_out)]
+    layers.append(LayerSpec("classifier", 1024, classes))
+    base = NetworkSpec("mobilenet-v1", (224, 224), classes, layers)
+    spec = replace_trailing_convs(base, 9)
+    spec.name = "bcdnet-a-like"
+    return spec
 
 
 def bcdnet_b_like(classes=1000) -> NetworkSpec:
-    """bcdnet-a-like plus dynamic contextual embeddings in the CNN stage."""
-    return bcdnet_a_like(classes, dynamic=True)
+    """bcdnet-a-like plus dynamic contextual embeddings in the CNN stage,
+    every binary layer before the first MLP block."""
+    spec = bcdnet_a_like(classes)
+    cnn_stage = spec.layers[1:[ls.kind for ls in spec.layers].index("binary-mlp")]
+    for ls in cnn_stage:
+        ls.dynamic = True
+    spec.name = "bcdnet-b-like"
+    return spec.validate()
 
 
 def reactnet18_like(classes=1000, mlp_tail=False) -> NetworkSpec:
-    """ResNet-18-shaped binary network (one conv per residual block); the
-    variant replaces the three stride-1 convs of the last stage with 9
-    binary MLP blocks."""
+    """ResNet-18-shaped binary network (one conv per residual block); with
+    mlp_tail, "reactnet18-mlp-like", the three stride-1 convs of the last
+    stage become 9 binary MLP blocks."""
     layers = [LayerSpec("stem-conv", 3, 64, stride=2, kernel=7, pool=True)]
-    stages = [(64, 4), (128, 4), (256, 4), (512, 4)]
-    c = 64
-    for si, (c_out, blocks) in enumerate(stages):
-        for b in range(blocks):
-            if si > 0 and b == 0:
-                layers.append(LayerSpec("downsample", c, c_out, stride=2))
-                c = c_out
-            elif mlp_tail and si == len(stages) - 1:
-                for _ in range(3):
-                    layers.append(LayerSpec("binary-mlp", c, c))
-            else:
-                layers.append(LayerSpec("binary-conv-3x3", c, c))
-    layers.append(LayerSpec("classifier", c, classes))
-    name = "reactnet18-mlp-like" if mlp_tail else "reactnet18-like"
-    return NetworkSpec(name, (224, 224), classes, layers).validate()
+    layers += [LayerSpec("binary-conv-3x3", 64, 64) for _ in range(4)]
+    for c in (128, 256, 512):  # each later stage opens with a downsample
+        layers.append(LayerSpec("downsample", c // 2, c, stride=2))
+        layers += [LayerSpec("binary-conv-3x3", c, c) for _ in range(3)]
+    layers.append(LayerSpec("classifier", 512, classes))
+    spec = NetworkSpec("reactnet18-like", (224, 224), classes, layers)
+    if mlp_tail:
+        spec = replace_trailing_convs(spec, 9)
+        spec.name = "reactnet18-mlp-like"
+    return spec.validate()
 
 
 def desk_tiny(classes=10, branches=("point", "short", "long"),
@@ -453,47 +464,17 @@ def desk_tiny(classes=10, branches=("point", "short", "long"),
     return NetworkSpec("desk-tiny", (32, 32), classes, layers).validate()
 
 
-def desk_micro(classes=10, branches=("point", "short", "long"),
-               in_channels=1) -> NetworkSpec:
+def desk_micro(classes=10, branches=("point", "short", "long")) -> NetworkSpec:
     """Small single-channel variant for fast paired-comparison runs; the
     shallow conv stage leaves half-image relations to the MLP stage."""
     layers = [
-        LayerSpec("stem-conv", in_channels, 16, stride=2),
+        LayerSpec("stem-conv", 1, 16, stride=2),
         LayerSpec("downsample", 16, 32, stride=2),
         *[LayerSpec("binary-mlp", 32, 32, branches=tuple(branches)) for _ in range(3)],
         LayerSpec("classifier", 32, classes),
     ]
     return NetworkSpec("desk-micro", (16, 16), classes, layers,
-                       in_channels=in_channels).validate()
-
-
-def replace_trailing_convs(spec: NetworkSpec, n_mlp: int) -> NetworkSpec:
-    """Swap the last n_mlp/3 stride-1 3x3 conv blocks for MLP triples.
-
-    Downsampling blocks are never replaced; asking for more replacements
-    than there are eligible conv blocks is an error.
-    """
-    if n_mlp % 3 != 0:
-        raise SpecError("replacement converts whole conv blocks (3 MLPs each)")
-    candidates = [i for i, ls in enumerate(spec.layers)
-                  if ls.kind == "binary-conv-3x3" and ls.c_in % 4 == 0]
-    k = n_mlp // 3
-    if k > len(candidates):
-        raise SpecError(
-            f"cannot replace {k} conv blocks; only {len(candidates)} eligible "
-            "(downsampling layers are never replaced)"
-        )
-    chosen = set(candidates[len(candidates) - k:])
-    layers = []
-    for i, ls in enumerate(spec.layers):
-        if i in chosen:
-            layers.extend(LayerSpec("binary-mlp", ls.c_in, ls.c_in)
-                          for _ in range(3))
-        else:
-            layers.append(ls)
-    name = f"{spec.name}-mlp{n_mlp}" if n_mlp else spec.name
-    return NetworkSpec(name, spec.input_hw, spec.classes, layers,
-                       spec.in_channels).validate()
+                       in_channels=1).validate()
 
 
 def desk_sweep(classes=10, n_mlp=0) -> NetworkSpec:
@@ -514,7 +495,6 @@ PRESETS = {
     "bcdnet-a-like": bcdnet_a_like,
     "bcdnet-b-like": bcdnet_b_like,
     "reactnet18-like": reactnet18_like,
-    "reactnet18-mlp-like": lambda classes=1000: reactnet18_like(classes, True),
     "desk-tiny": desk_tiny,
     "desk-micro": desk_micro,
     "desk-sweep": desk_sweep,
@@ -606,7 +586,7 @@ def read_checkpoint(path):
     spec_text = sized("<I").decode()
     if hashlib.sha256(spec_text.encode()).digest() != bytes(take(32)):
         raise CheckpointChecksumError(f"{path}: spec hash mismatch")
-    meta = json.loads(sized("<I"))
+    meta = _metadata(sized("<I"), path)
     arrays = {}
     for _ in range(unpack("<I")[0]):
         name = sized("<H").decode()
@@ -635,7 +615,7 @@ def load(path) -> Network:
                               f"{', '.join(sorted(map(str, dtypes)))}")
     net = build(spec, seed=0, dtype=dtypes.pop())
     net.load_state_arrays(arrays)
-    net.step = _meta_step(meta, net.step, path)
+    net.step = meta["step"]
     return net
 
 
@@ -646,7 +626,6 @@ def load_into(net: Network, path) -> Network:
     layer's `thr` seeds the `dyn.b_beta` that replaces it, so the network
     computes what the checkpoint did. Otherwise as strict as load."""
     _, meta, arrays = read_checkpoint(path)
-    step = _meta_step(meta, net.step, path)
     own = net.state_arrays()
     for name in [k for k in arrays if k.endswith(".thr") and k not in own]:
         beta = name[:-len("thr")] + "dyn.b_beta"
@@ -656,14 +635,23 @@ def load_into(net: Network, path) -> Network:
         if ".dyn." in name:
             arrays.setdefault(name, own[name])
     net.load_state_arrays(arrays)
-    net.step = step
+    net.step = meta["step"]
     return net
 
 
-def _meta_step(meta: dict, default: int, path) -> int:
-    """The checkpoint's step (default if unrecorded); binary_weights must agree."""
-    step = int(meta.get("step", default))
-    if bool(meta.get("binary_weights", step != 1)) != (step != 1):
-        raise CheckpointError(f"{path}: metadata binary_weights = "
-                              f"{meta['binary_weights']} contradicts step {step}")
-    return step
+def _metadata(blob: bytes, path) -> dict:
+    """The checkpoint's metadata block, a JSON object whose step is the
+    integer 0, 1 or 2 and whose binary_weights, when present, is the bool
+    that step implies; anything else raises CheckpointError."""
+    try:
+        meta = json.loads(blob)
+        step = meta.get("step")
+    except (ValueError, AttributeError):  # not JSON, or JSON but not an object
+        raise CheckpointError(f"{path}: metadata is not a JSON object") from None
+    if type(step) is not int or step not in (0, 1, 2):
+        raise CheckpointError(f"{path}: metadata step = {step!r} is not 0, 1 or 2")
+    binary = meta.get("binary_weights", step != 1)
+    if binary is not (step != 1):  # a bool, and the one the step implies
+        raise CheckpointError(f"{path}: metadata binary_weights = {binary!r} "
+                              f"contradicts step {step}")
+    return meta

@@ -80,6 +80,8 @@ def cosine_lr(t: int, total: int, peak: float) -> float:
 # Elements per AdamW block: the chain's two scratch blocks and its slices of
 # g, m, v and p stay in cache while the thirteen operations run over them.
 BLOCK = 1 << 16
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator guard
+EVAL_BATCH = 256  # images per evaluate() forward
 
 
 class AdamW:
@@ -100,10 +102,8 @@ class AdamW:
     that overflows needs to read of v.
     """
 
-    def __init__(self, params: dict, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    def __init__(self, params: dict, weight_decay=0.0):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weight_decay = weight_decay
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -114,7 +114,7 @@ class AdamW:
         """True when the next step's bias-corrected second-moment estimate
         would not be finite: a gradient is non-finite or too large. It
         reads the gradients and the recorded maxima of the second moments."""
-        b2c = 1.0 - self.beta2 ** (self.t + 1)
+        b2c = 1.0 - BETA2 ** (self.t + 1)
         with np.errstate(over="ignore", invalid="ignore"):
             for k, p in self.params.items():
                 if p.grad is None:
@@ -127,15 +127,15 @@ class AdamW:
                 bound = np.maximum(self.v_max[k], float(np.vdot(g, g)))
                 if bound / b2c < 0.5 * float(np.finfo(v.dtype).max):
                     continue
-                v_hat = (self.beta2 * v + (1.0 - self.beta2) * (g * g)) / b2c
+                v_hat = (BETA2 * v + (1.0 - BETA2) * (g * g)) / b2c
                 if not np.isfinite(v_hat).all():
                     return True
         return False
 
     def step(self, lr: float):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - BETA1 ** self.t
+        b2c = 1.0 - BETA2 ** self.t
         for k, p in self.params.items():
             if p.grad is None:
                 continue
@@ -158,18 +158,18 @@ class AdamW:
     def _chain(self, g, m, v, p, a, b, lr, b1c, b2c):
         """One AdamW update of p, m and v in place, with scratch a and b;
         returns the maximum of the new v."""
-        np.multiply(self.beta1, m, out=m)
-        np.multiply(1.0 - self.beta1, g, out=a)
+        np.multiply(BETA1, m, out=m)
+        np.multiply(1.0 - BETA1, g, out=a)
         np.add(m, a, out=m)                    # m = b1 * m + (1 - b1) * g
-        np.multiply(self.beta2, v, out=v)
+        np.multiply(BETA2, v, out=v)
         np.multiply(g, g, out=a)
-        np.multiply(1.0 - self.beta2, a, out=a)
+        np.multiply(1.0 - BETA2, a, out=a)
         np.add(v, a, out=v)                    # v = b2 * v + (1 - b2) * (g * g)
         top = v.max()
         np.divide(m, b1c, out=a)               # m_hat
         np.divide(v, b2c, out=b)               # v_hat
         np.sqrt(b, out=b)
-        np.add(b, self.eps, out=b)
+        np.add(b, EPS, out=b)
         np.divide(a, b, out=a)                 # update = m_hat / (sqrt(v_hat) + eps)
         if self.weight_decay:
             np.multiply(self.weight_decay, p, out=b)
@@ -270,16 +270,15 @@ def train_step2(net: nw.Network, init: dict | None, data: Dataset,
     return {k: v.copy() for k, v in net.state_arrays().items()}, result
 
 
-def evaluate(net: nw.Network, data: Dataset, batch_size: int = 256,
-             packed: bool = False) -> Metrics:
+def evaluate(net: nw.Network, data: Dataset, packed: bool = False) -> Metrics:
     """Deterministic full-set evaluation (top-1/top-5/mean loss)."""
     n = len(data)
     correct1 = correct5 = 0
     total_loss = 0.0
     k5 = min(5, data.classes)
-    for lo in range(0, n, batch_size):
-        xb = data.x[lo:lo + batch_size]
-        yb = data.y[lo:lo + batch_size]
+    for lo in range(0, n, EVAL_BATCH):
+        xb = data.x[lo:lo + EVAL_BATCH]
+        yb = data.y[lo:lo + EVAL_BATCH]
         if packed:
             logits = net.forward_packed(xb)
         else:

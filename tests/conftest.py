@@ -4,6 +4,10 @@ The oracles here are deliberately naive (per-element Python loops or dense
 float arithmetic) and independent of the packed kernels they check.
 """
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -87,3 +91,14 @@ def frozen_weight_scales(monkeypatch):
 
     monkeypatch.setattr(blocks, "weight_scale", weight_scale)
     return memo
+
+
+def rewrite_metadata(path, meta: bytes):
+    """Replace a step-0 checkpoint's metadata block with meta and recompute
+    its CRC, so the new block gets past the checksum."""
+    body = open(path, "rb").read()[:-4]
+    old = json.dumps({"binary_weights": True, "step": 0}).encode()
+    at = body.index(struct.pack("<I", len(old)) + old)
+    body = body[:at] + struct.pack("<I", len(meta)) + meta + body[at + 4 + len(old):]
+    with open(path, "wb") as f:
+        f.write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))

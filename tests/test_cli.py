@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -9,6 +10,7 @@ from bitcontext import config
 from bitcontext import costmodel as cm
 from bitcontext import data as dt
 from bitcontext import network as nw
+from conftest import rewrite_metadata
 
 
 def run(args):
@@ -216,6 +218,20 @@ class TestErrors:
         assert run(["eval", "--checkpoint", "nope.bin", "--config",
                     "run.cfg"]) == 2
 
+    @pytest.mark.parametrize("meta,match", [
+        (b"[]", "metadata is not a JSON object"),
+        (b"not json", "metadata is not a JSON object"),
+        (b'{"step": 7}', "metadata step = 7 is not 0, 1 or 2"),
+        (b'{"step": 0.5}', "metadata step = 0.5 is not 0, 1 or 2")])
+    def test_malformed_checkpoint_metadata_is_runtime_error(self, workdir, capsys,
+                                                            meta, match):
+        nw.save(nw.build(nw.desk_micro(), seed=0), "ck.bin")
+        rewrite_metadata("ck.bin", meta)
+        assert run(["eval", "--checkpoint", "ck.bin", "--config", "run.cfg"]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: ck.bin: {match}")
+        assert "Traceback" not in err and out == ""
+
     def test_corrupt_checkpoint_is_runtime_error(self, workdir, capsys):
         run(["train", "--config", "run.cfg", "--output", "ck.bin"])
         blob = bytearray(open("ck.bin", "rb").read())
@@ -270,7 +286,8 @@ class TestErrors:
          "network.mlp_tail"),
         (["network.spec_file=net.spec", "network.classes=3"], "network.classes"),
         (["network.spec_file=net.spec", "network.preset=desk-micro"],
-         "network.preset")])
+         "network.preset"),
+        (["network.preset=bcdnet-a-like", "network.dynamic=true"], "network.dynamic")])
     def test_network_key_the_source_ignores_is_usage_error(
             self, tmp_path, monkeypatch, capsys, sets, key):
         monkeypatch.chdir(tmp_path)
@@ -288,8 +305,60 @@ class TestErrors:
                     "--set", "network.branches=point,short,long"]) == 0
 
     def test_unknown_preset_is_usage_error(self, workdir, capsys):
-        assert run(["count-ops", "--set", "network.preset=nope"]) == 1
-        assert "network.preset" in capsys.readouterr().err
+        for name in ("nope", "reactnet18-mlp-like"):
+            assert run(["count-ops", "--set", f"network.preset={name}"]) == 1
+            assert f"network.preset: unknown preset '{name}'" in capsys.readouterr().err
+
+    def test_each_network_has_one_spelling(self):
+        """Every preset under every subset of these settings that the
+        [network] section accepts gives its own spec text, so no two
+        configs spell one network."""
+        settings = ["network.dynamic=true", "network.mlp_tail=true",
+                    "network.n_mlp=3", "network.branches=point,point,point"]
+        spellings = {}
+        for name in sorted(nw.PRESETS):
+            for r in range(len(settings) + 1):
+                for subset in itertools.combinations(settings, r):
+                    cfg = config.apply_overrides(config.parse_config(""),
+                                                 [f"network.preset={name}", *subset])
+                    try:
+                        text = cli._network_spec(cfg).to_text()
+                    except config.ConfigError:
+                        continue
+                    spellings.setdefault(text, []).append((name, subset))
+        assert [s for s in spellings.values() if len(s) > 1] == []
+        # bcdnet-a/-b 1 each, reactnet18 2, desk-tiny 4, desk-micro 2, desk-sweep 2
+        assert len(spellings) == 12
+
+    @pytest.mark.parametrize("verb,setting,message", [
+        ("train", "data.synthetic=pairs8",
+         "data.synthetic = 'pairs8' is not one of none, pairs16, pairs32"),
+        ("train", "data.n_train=0", "data.n_train must be >= 1, got 0"),
+        ("eval", "data.n_test=0", "data.n_test must be >= 1, got 0"),
+        ("eval", "data.n_test=-3", "data.n_test must be >= 1, got -3"),
+        ("sweep", "data.n_test=0", "data.n_test must be >= 1, got 0"),
+        ("sweep", "sweep.points=0,x",
+         "sweep.points = '0,x' is not a comma list of non-negative integers"),
+        ("sweep", "sweep.points=0,-3", "sweep.points = '0,-3' is not a comma list"),
+        ("sweep", "sweep.band=-1", "sweep.band must be >= 0, got -1.0"),
+        ("sweep", "sweep.band=nan", "sweep.band must be >= 0, got nan")])
+    def test_bad_data_or_sweep_value_is_usage_error(self, workdir, capsys, verb,
+                                                    setting, message):
+        """Each is reported with its key before any training runs."""
+        nw.save(nw.build(nw.desk_micro(), seed=0), "ck.bin")
+        extra = {"train": ["--output", "out.bin"], "eval": ["--checkpoint", "ck.bin"],
+                 "sweep": ["--set", "sweep.train=true"]}[verb]
+        rc = run([verb, "--config", "run.cfg", "--set", setting] + extra)
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith(f"error: {message}")
+        assert out == "" and not os.path.exists("out.bin")
+
+    def test_zero_sweep_band_keeps_only_the_base_in_band(self, workdir, capsys):
+        assert run(["sweep", "--set", "sweep.band=0", "--set", "sweep.points=0,3"]) == 0
+        header, *rows = capsys.readouterr().out.strip().splitlines()
+        col = header.split("\t").index("in_band")
+        assert [r.split("\t")[col] for r in rows] == ["True", "False"]
 
     def test_diverged_training_is_runtime_error(self, workdir, capsys):
         assert run(["train", "--config", "run.cfg", "--output", "ck.bin",

@@ -52,9 +52,11 @@ class TestCountNetwork:
     def test_replacement_left_bops_unchanged(self):
         """Three MLP blocks carry exactly the BOPs of the 3x3 conv they
         replace, so the headline BOPs figure is preserved."""
-        with_mlp = cm.count_network(nw.bcdnet_a_like())
-        without = cm.count_network(nw.bcdnet_a_like(replaced=()))
-        assert with_mlp.bops == without.bops == 4816896000
+        assert cm.count_network(nw.bcdnet_a_like()).bops == 4816896000
+        for conv, mlp in ((nw.reactnet18_like(), nw.reactnet18_like(mlp_tail=True)),
+                          (nw.desk_sweep(), nw.desk_sweep(n_mlp=9))):
+            assert cm.count_network(mlp).bops == cm.count_network(conv).bops
+            assert cm.count_network(mlp).flops != cm.count_network(conv).flops
 
     def test_dynamic_embeddings_increase_only_flops(self):
         a = cm.count_network(nw.bcdnet_a_like())

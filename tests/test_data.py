@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,21 @@ class TestLoadDir:
         assert len(dt.load_dir(tmp_path, "test_batch")) == 5
         with pytest.raises(FileNotFoundError):
             dt.load_dir(tmp_path, "data")
+
+    def test_numbered_cifar_files_load_in_numeric_order(self, tmp_path):
+        """<split>.bin comes first, then the numbered files by their integer,
+        so data_batch_10.bin follows data_batch_2.bin."""
+        parts = {}
+        for name, n in (("data_batch_10.bin", 2), ("data_batch_2.bin", 3),
+                        ("data_batch.bin", 4), ("data_batch_1.bin", 5)):
+            parts[name] = dt.make_blob_pairs(n, seed=n)
+            dt.write_cifar_bin(tmp_path / name, *parts[name])
+        order = ["data_batch.bin", "data_batch_1.bin", "data_batch_2.bin",
+                 "data_batch_10.bin"]
+        assert [os.path.basename(f) for f in dt.split_files(tmp_path, "data_batch")] \
+            == order
+        ds = dt.load_dir(tmp_path, "data_batch")
+        assert np.array_equal(ds.y, np.concatenate([parts[f][1] for f in order]))
 
     def test_idx_image_label_count_mismatch(self, tmp_path):
         dt.write_idx(tmp_path / "train-images.idx", np.zeros((10, 4, 4), np.uint8))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import types
@@ -14,7 +15,8 @@ from bitcontext import network as nw
 from bitcontext import train as tr
 from bitcontext.config import ConfigError, parse_config
 from bitcontext.data import Dataset
-from conftest import binarize_oracle, dense_conv_oracle, reconstruct_oracle
+from conftest import (binarize_oracle, dense_conv_oracle, reconstruct_oracle,
+                      rewrite_metadata)
 from bitcontext import blocks as bk
 
 
@@ -92,6 +94,41 @@ class TestSpecs:
     def test_indivisible_mlp_channels_rejected(self):
         with pytest.raises(nw.SpecError):
             nw.LayerSpec("binary-mlp", 6, 6).validate()
+
+    @pytest.mark.parametrize("kind,c_out,stride", [
+        ("downsample", 12, 2), ("binary-conv-1x1", 6, 1), ("binary-conv-3x3", 6, 1)])
+    def test_dynamic_layer_needs_channels_divisible_by_4(self, kind, c_out, stride):
+        """A dynamic embedding's bottleneck is c_in/4 wide, so a 6-channel
+        input is rejected both in code and in a spec file, by its line."""
+        match = f"dynamic {kind} needs channels divisible by 4"
+        with pytest.raises(nw.SpecError, match=match):
+            nw.LayerSpec(kind, 6, c_out, stride=stride, dynamic=True).validate()
+        nw.LayerSpec(kind, 8, c_out * 8 // 6, stride=stride, dynamic=True).validate()
+        text = ("[network]\ninput = 8x8\nclasses = 10\n"
+                "[layer]\nkind = stem-conv\nout = 6\nstride = 1\n"
+                f"[layer]\nkind = {kind}\nout = {c_out}\nstride = {stride}\n"
+                "dynamic = true\n[layer]\nkind = classifier\n")
+        with pytest.raises(nw.SpecError, match=f"line 8: {match}, got 6"):
+            nw.parse_network_spec(text)
+        nw.parse_network_spec(text.replace("dynamic = true\n", ""))
+
+    # sha256 of each preset's to_text(); a change to the builders keeps them.
+    PRESET_SPEC_SHA256 = {
+        "bcdnet-a-like": "ac7e6fb7bbe8feb9a5d2ddb15548e2436d28018a0bf00aef5a60f73e93e955d4",
+        "bcdnet-b-like": "1c77f3abc3fa2a56bcac55e03874b64bd3217100043f795726ca845d63a74c74",
+        "reactnet18-like": "e1b2c85e4bd8b4e4281dfddc865b4dbdc8dc3148873aa61afb592c8bafaa9033",
+        "mlp_tail": "06e3a4c9f88810d4c824898a8b401a46b7debdb99e68317a072bba09ea83e546",
+        "desk-tiny": "13c525e898b7086751f2482ec0df2f83aef9ddff8e4149fa5eb0d0799a930593",
+        "desk-micro": "d6cdbfb343769f09f7e03b8f3e8151f8cf019cdd1585ca0573e258382b84044a",
+        "desk-sweep": "527cc11214042b64d252edbe904906479562f53a4cb6fc26c98d8138c38dbbad",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SPEC_SHA256))
+    def test_preset_spec_text_is_pinned(self, name):
+        """Presets built through replace_trailing_convs keep their texts."""
+        spec = nw.reactnet18_like(mlp_tail=True) if name == "mlp_tail" else nw.preset(name)
+        assert hashlib.sha256(spec.to_text().encode()).hexdigest() \
+            == self.PRESET_SPEC_SHA256[name]
 
     def test_spec_text_roundtrip(self):
         for spec in (nw.desk_tiny(dynamic=True), nw.bcdnet_b_like(),
@@ -681,3 +718,34 @@ class TestPersistence:
         assert net.step == 0
         for k, v in net.state_arrays().items():
             assert np.array_equal(before[k], v), k
+
+    @pytest.mark.parametrize("meta,match", [
+        (b"[]", "is not a JSON object"),
+        (b"not json", "is not a JSON object"),
+        (b'{"step": 7}', "step = 7 is not 0, 1 or 2"),
+        (b'{"step": 0.5}', "step = 0.5 is not"),
+        (b'{"step": true}', "step = True is not"),
+        (b'{"binary_weights": true}', "step = None is not"),
+        (b'{"step": 2, "binary_weights": 1}', "binary_weights = 1 contradicts step 2"),
+        (b'{"step": 1, "binary_weights": "no"}', "binary_weights = 'no' contradicts")])
+    def test_malformed_metadata_rejected(self, tmp_path, meta, match):
+        """A metadata block that passes the CRC is still checked field by
+        field; load_into rejects it before it touches the network."""
+        p = tmp_path / "meta.ckpt"
+        nw.save(nw.build(nw.desk_micro(), seed=0), p)
+        rewrite_metadata(p, meta)
+        net = nw.build(nw.desk_micro(), seed=1)
+        before = {k: v.copy() for k, v in net.state_arrays().items()}
+        for read in (nw.load, lambda path: nw.load_into(net, path)):
+            with pytest.raises(nw.CheckpointError, match=f"meta.ckpt: metadata {match}"):
+                read(p)
+        assert net.step == 0
+        for k, v in net.state_arrays().items():
+            assert np.array_equal(before[k], v), k
+
+    def test_metadata_without_binary_weights_loads_its_step(self, tmp_path):
+        p = tmp_path / "meta.ckpt"
+        nw.save(nw.build(nw.desk_micro(), seed=0), p)
+        rewrite_metadata(p, b'{"step": 2}')
+        assert nw.load(p).step == 2
+        assert nw.load_into(nw.build(nw.desk_micro(), seed=1), p).step == 2

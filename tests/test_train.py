@@ -460,6 +460,8 @@ class TestSweep:
             tr.sweep_replacement(nw.desk_sweep(), [33])
         with pytest.raises(nw.SpecError):
             tr.sweep_replacement(nw.desk_sweep(), [4])  # not a whole conv block
+        with pytest.raises(nw.SpecError, match="got n_mlp = -3"):
+            nw.desk_sweep(n_mlp=-3)
 
     def test_replacement_skips_downsample_layers(self):
         spec = nw.desk_sweep(n_mlp=30)
