@@ -95,10 +95,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def accumulate(self, g):
         if self.grad is None:
             # 0 + g into the data's dtype and layout, as zeros_like then +=

@@ -223,7 +223,7 @@ def binary_gemm(a: BitTensor, w: BitTensor, scale: np.ndarray) -> np.ndarray:
     operands bit for bit.
     """
     if len(a.shape) != 2 or len(w.shape) != 2:
-        raise DimensionError("binary_gemm expects 2-D operands")
+        raise DimensionError(f"binary_gemm needs 2-D operands, got {a.shape}, {w.shape}")
     if a.nbits != w.nbits or a.vectors != w.vectors:
         raise DimensionError(f"inner dimensions differ: {a.nbits} bits in {a.vectors} "
                              f"vectors vs {w.nbits} in {w.vectors}")
@@ -313,7 +313,7 @@ def weight_scale(w: np.ndarray) -> np.ndarray:
     one per output channel (axis 0)."""
     w = np.asarray(w)
     if w.size == 0:
-        raise ValueError("empty filter bank")
+        raise ValueError(f"empty filter bank of shape {w.shape}")
     dtype = w.dtype if w.dtype.kind == "f" else np.float32
     return np.abs(w.reshape(w.shape[0], -1)).mean(axis=1).astype(dtype)
 

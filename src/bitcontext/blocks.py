@@ -10,8 +10,8 @@ st.packed swaps only the binary core of the binary conv and MLP blocks:
              surrogate when st.surrogate); training and gradient checks
              run here. A token-wise FC branch is a binary 1x1 conv:
              token_fc is ag.conv2d reading the (c, c) weight as k=1.
-  packed  -- pack -> binary_conv2d, or pack -> reconstruct_* ->
-             binary_gemm, on bit-packed XNOR/popcount kernels.
+  packed  -- pack -> binary_conv2d, or pack -> reconstruct_* -> binary_conv2d
+             with the (c, c) weight as a 1x1 bank, on XNOR/popcount words.
 
 Both routes share the binary-core rules: ag.binarize and pack check and
 broadcast thresholds with bittensor.broadcast_threshold, and ag.conv2d and
@@ -34,8 +34,9 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .bittensor import (BitTensor, DimensionError, WORD_BITS, binary_conv2d,
-                        binary_gemm, pack, pack_filters, weight_scale)
+# binary_gemm is not called here; perfbench's tracer wraps it under this name.
+from .bittensor import (BitTensor, DimensionError, WORD_BITS, _pack_last_axis,
+                        binary_conv2d, binary_gemm, pack, pack_filters, weight_scale)
 
 SHORT_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
@@ -62,28 +63,16 @@ def branch_offsets(kind: str, h: int, w: int):
     raise ValueError(f"unknown branch kind {kind!r}")
 
 
-def _quartile_masks(c: int, n_words: int) -> np.ndarray:
-    """Bit masks selecting each channel quartile inside the packed words."""
-    idx = np.arange(n_words * WORD_BITS)
-    q = c // 4
-    masks = np.zeros((4, n_words), dtype=np.uint64)
-    for i in range(4):
-        sel = (idx >= i * q) & (idx < (i + 1) * q)
-        bits = np.packbits(sel, bitorder="little")
-        pad = n_words * 8 - bits.size
-        if pad:
-            bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-        masks[i] = bits.view(np.uint64)
-    return masks
-
-
 def _reconstruct(a_b: BitTensor, offsets) -> BitTensor:
     if len(a_b.shape) != 4:
-        raise DimensionError("token reconstruction expects a packed NCHW tensor")
+        raise DimensionError("token reconstruction expects a packed NCHW tensor, "
+                             f"got shape {a_b.shape}")
     n, c, h, w = a_b.shape
     if c % 4 != 0:
         raise DimensionError(f"channels {c} not divisible by 4")
-    masks = _quartile_masks(c, a_b.n_words)
+    # (4, n_words) masks: row i holds the bits of channel quartile i
+    quartile = np.arange(a_b.n_words * WORD_BITS) // (c // 4)
+    masks = _pack_last_axis(quartile == np.arange(4)[:, None])
     out = np.zeros_like(a_b.words)
     for i, (r1, r2) in enumerate(offsets):
         rolled = np.roll(a_b.words, (-r1, -r2), axis=(1, 2))
@@ -325,11 +314,8 @@ class BinaryMlpBlock(_Layer, _NormAct):
                 src = reconstruct_short(src)
             elif kind == "long":
                 src = reconstruct_long(src)
-            n, c, h, wd = src.shape
-            rows = BitTensor((n * h * wd, c), src.words.reshape(n * h * wd, -1),
-                             src.nbits)
-            out = binary_gemm(rows, pack_filters(w.data), _scale(w, st))
-            return Tensor(out.reshape(n, h, wd, c).transpose(0, 3, 1, 2))
+            return Tensor(binary_conv2d(src, pack_filters(w.data[:, :, None, None]),
+                                        _scale(w, st)))
         offs = branch_offsets(kind, src.shape[2], src.shape[3])
         tok = src if offs is None else ag.quartile_shift(src, offs)
         return ag.token_fc(tok, w, surrogate=st.surrogate, scale=_scale(w, st))

@@ -68,7 +68,10 @@ def _network_spec(cfg) -> nw.NetworkSpec:
     kwargs = {k: v for k, v in ncfg.items() if k in takes and k != "preset"}
     if "branches" in kwargs:
         kwargs["branches"] = tuple(b.strip() for b in kwargs["branches"].split(","))
-    return nw.preset(name, **kwargs)
+    try:
+        return nw.preset(name, **kwargs)
+    except nw.ReplacementError as e:  # n_mlp is the only configured replacement count
+        raise ConfigError(f"network.n_mlp: {e}") from None
 
 
 # Synthetic dataset name -> (image size, channels).
@@ -223,9 +226,12 @@ def cmd_sweep(args) -> int:
         train_data = _load_data(cfg, "train_split")
         eval_data = _load_data(cfg, "eval_split")
         cfgs = [_train_config(cfg, step, train_data) for step in (1, 2)]
-    rows = tr.sweep_replacement(base_spec, points, scfg["band"],
-                                train_data=train_data, eval_data=eval_data,
-                                cfgs=cfgs, seed=cfg["run"]["seed"])
+    try:
+        rows = tr.sweep_replacement(base_spec, points, scfg["band"],
+                                    train_data=train_data, eval_data=eval_data,
+                                    cfgs=cfgs, seed=cfg["run"]["seed"])
+    except nw.ReplacementError as e:
+        raise ConfigError(f"sweep.points: {e}") from None
     lines = [list(rows[0])] + [[str(v) for v in r.values()] for r in rows]
     _emit("\n".join("\t".join(line) for line in lines), args, cfg)
     return 0

@@ -1,7 +1,7 @@
 """Plain-text key-value run configuration with strict schema validation.
 
 Format: `[section]` headers followed by `key = value` lines; `#` starts a
-comment. Unknown sections or keys are rejected with their full key path.
+comment. Unknown sections or keys and repeated keys are rejected by line.
 Command-line overrides use `section.key=value` and win over the file.
 Network spec files use the same format (see iter_ini).
 """
@@ -51,12 +51,13 @@ DEFAULTS = {
 SCHEMA = {s: {k: type(v) for k, v in keys.items()} for s, keys in DEFAULTS.items()}
 
 
-def iter_ini(text: str, error):
+def iter_ini(text: str, error, schema):
     """Tokenize `[section]` / `key = value` text with `#` comments.
 
     Yields (line number, section, key, value) per non-blank line; key and
-    value are None on a section header. A key line outside any section or
-    without `=` raises ``error``; schema checks are the caller's.
+    value are None on a section header. A section or key not in ``schema``,
+    a key repeated within one section, and a key line outside any section or
+    without `=` raise ``error`` naming the line; values are the caller's.
     """
     section = None
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -64,14 +65,21 @@ def iter_ini(text: str, error):
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
+            section, seen = line[1:-1].strip(), set()
+            if section not in schema:
+                raise error(f"line {ln}: unknown section [{section}]")
             yield ln, section, None, None
             continue
         if section is None:
             raise error(f"line {ln}: key outside any section")
         if "=" not in line:
-            raise error(f"line {ln}: expected 'key = value'")
+            raise error(f"line {ln}: expected 'key = value', got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
+        if key not in schema[section]:
+            raise error(f"line {ln}: unknown key {section}.{key}")
+        if key in seen:
+            raise error(f"line {ln}: repeated key {section}.{key}")
+        seen.add(key)
         yield ln, section, key, value
 
 
@@ -79,14 +87,9 @@ def parse_config(text: str) -> dict:
     """Parse and validate; returns {section: {key: typed value}} with
     defaults filled in."""
     cfg = {s: dict(v) for s, v in DEFAULTS.items()}
-    for ln, section, key, value in iter_ini(text, ConfigError):
-        if section not in SCHEMA:
-            raise ConfigError(f"line {ln}: unknown section [{section}]")
-        if key is None:
-            continue
-        if key not in SCHEMA[section]:
-            raise ConfigError(f"line {ln}: unknown key {section}.{key}")
-        cfg[section][key] = _coerce(section, key, value, SCHEMA[section][key])
+    for _, section, key, value in iter_ini(text, ConfigError, SCHEMA):
+        if key is not None:
+            cfg[section][key] = _coerce(section, key, value, SCHEMA[section][key])
     return cfg
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .network import LayerSpec, NetworkSpec
+from .network import BINARY_CONV_KERNELS, LayerSpec, NetworkSpec
 
 CONV_BLOCK_ELEM_FLOPS = 4
 MLP_BLOCK_ELEM_FLOPS = 6
@@ -40,7 +40,6 @@ class CostRow:
 @dataclass
 class CostReport:
     rows: list = field(default_factory=list)
-    mac_ops: int = 1
 
     @property
     def bops(self) -> int:
@@ -89,8 +88,8 @@ def _dynamic_flops(c_in: int, c_out: int, h: int, w: int) -> int:
     return gap + matmuls + c_out
 
 
-def count_layer(ls: LayerSpec, hw: tuple, mac_ops: int = 1):
-    """BOPs and FLOPs for one layer at the given input resolution.
+def count_layer(ls: LayerSpec, hw: tuple):
+    """BOPs and FLOPs, one per MAC, for one layer at the given input resolution.
 
     Returns (bops, flops, flops_convfc, out_hw), out_hw from LayerSpec.out_hw.
     """
@@ -100,45 +99,43 @@ def count_layer(ls: LayerSpec, hw: tuple, mac_ops: int = 1):
         ch, cw = h // ls.stride, w // ls.stride  # the conv's output, before the pool
         macs = ls.kernel * ls.kernel * ls.c_in * ls.c_out * ch * cw
         flops = macs + (ls.c_out * oh * ow if ls.pool else 0)
-        return 0, mac_ops * flops, mac_ops * macs, (oh, ow)
-    if ls.kind in ("binary-conv-3x3", "binary-conv-1x1", "downsample"):
-        k = 1 if ls.kind == "binary-conv-1x1" else 3
-        bops = k * k * ls.c_in * ls.c_out * oh * ow
+        return 0, flops, macs, (oh, ow)
+    if ls.kind in BINARY_CONV_KERNELS:
+        bops = BINARY_CONV_KERNELS[ls.kind] ** 2 * ls.c_in * ls.c_out * oh * ow
         flops = CONV_BLOCK_ELEM_FLOPS * ls.c_out * oh * ow
         if ls.dynamic:
             flops += _dynamic_flops(ls.c_in, ls.c_out, h, w)
-        return mac_ops * bops, mac_ops * flops, 0, (oh, ow)
+        return bops, flops, 0, (oh, ow)
     if ls.kind == "binary-mlp":
         bops = 3 * ls.c_in * ls.c_out * h * w
         flops = MLP_BLOCK_ELEM_FLOPS * ls.c_out * h * w
-        return mac_ops * bops, mac_ops * flops, 0, (oh, ow)
+        return bops, flops, 0, (oh, ow)
     if ls.kind == "classifier":
         gap = ls.c_in * h * w
         fc = ls.c_in * ls.c_out
-        return 0, mac_ops * (gap + fc), mac_ops * fc, (oh, ow)
+        return 0, gap + fc, fc, (oh, ow)
     raise ValueError(f"unresolved layer kind {ls.kind!r}")
 
 
 def count_network(spec: NetworkSpec, mac_ops: int = 1) -> CostReport:
     """Full per-layer report; counting is purely structural."""
-    report = CostReport(mac_ops=mac_ops)
+    report = CostReport()
     hw = tuple(spec.input_hw)
     for i, ls in enumerate(spec.layers):
-        bops, flops, convfc, hw = count_layer(ls, hw, mac_ops)
+        bops, flops, convfc, hw = count_layer(ls, hw)
         name = f"L{i:02d}-{ls.kind}-{ls.c_out}"
-        report.rows.append(CostRow(name, bops, flops, convfc))
+        report.rows.append(CostRow(name, mac_ops * bops, mac_ops * flops,
+                                   mac_ops * convfc))
     return report
 
 
 def conv_block_ops(c: int, h: int, w: int, mac_ops: int = 1) -> float:
     """Single 3x3 binary conv block OPs at channel-preserving stride 1."""
-    ls = LayerSpec("binary-conv-3x3", c, c)
-    bops, flops, _, _ = count_layer(ls, (h, w), mac_ops)
-    return bops / 64.0 + flops
+    bops, flops, _, _ = count_layer(LayerSpec("binary-conv-3x3", c, c), (h, w))
+    return mac_ops * (bops / 64.0 + flops)
 
 
 def mlp_block_ops(c: int, h: int, w: int, mac_ops: int = 1) -> float:
     """Single three-branch binary MLP block OPs."""
-    ls = LayerSpec("binary-mlp", c, c)
-    bops, flops, _, _ = count_layer(ls, (h, w), mac_ops)
-    return bops / 64.0 + flops
+    bops, flops, _, _ = count_layer(LayerSpec("binary-mlp", c, c), (h, w))
+    return mac_ops * (bops / 64.0 + flops)

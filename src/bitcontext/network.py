@@ -28,7 +28,8 @@ from .config import iter_ini
 
 LAYER_KINDS = ("stem-conv", "binary-conv-3x3", "binary-conv-1x1", "binary-mlp",
                "downsample", "classifier")
-DYNAMIC_KINDS = ("binary-conv-3x3", "binary-conv-1x1", "downsample")
+# Each binary-conv kind and its kernel; these kinds alone take dynamic thresholds.
+BINARY_CONV_KERNELS = {"binary-conv-3x3": 3, "binary-conv-1x1": 1, "downsample": 3}
 
 CHECKPOINT_MAGIC = b"BCTX"
 CHECKPOINT_VERSION = 1
@@ -36,6 +37,10 @@ CHECKPOINT_VERSION = 1
 
 class SpecError(ValueError):
     """Invalid or inconsistent network specification."""
+
+
+class ReplacementError(SpecError):
+    """A conv-to-MLP replacement count that the base network cannot meet."""
 
 
 class CheckpointError(IOError):
@@ -68,9 +73,9 @@ class LayerSpec:
             raise SpecError(f"{self.kind} needs positive out, stride and kernel")
         if self.pool and self.kind != "stem-conv":
             raise SpecError(f"{self.kind} cannot pool; only the stem-conv pools")
-        if self.dynamic and self.kind not in DYNAMIC_KINDS:
+        if self.dynamic and self.kind not in BINARY_CONV_KERNELS:
             raise SpecError(f"{self.kind} has no dynamic thresholds; only "
-                            f"{', '.join(DYNAMIC_KINDS)} take dynamic = true")
+                            f"{', '.join(BINARY_CONV_KERNELS)} take dynamic = true")
         if self.kind != "binary-mlp" and self.branches != BRANCH_KINDS:
             raise SpecError(f"{self.kind} has no branches; only binary-mlp sets them")
         if self.kind != "stem-conv" and self.kernel != 3:
@@ -93,11 +98,12 @@ class LayerSpec:
         if self.kind == "binary-conv-3x3" and (self.stride != 1
                                                or self.c_in != self.c_out):
             raise SpecError("binary-conv-3x3 is stride 1 and channel preserving; "
-                            "use 'downsample' for strided blocks")
+                            "use 'downsample' for strided blocks; got stride "
+                            f"{self.stride}, {self.c_in} -> {self.c_out}")
         if self.kind == "binary-conv-1x1" and self.stride != 1:
-            raise SpecError("binary-conv-1x1 is stride 1")
+            raise SpecError(f"binary-conv-1x1 is stride 1, got {self.stride}")
         if self.kind == "downsample" and self.stride != 2:
-            raise SpecError("downsample blocks use stride 2")
+            raise SpecError(f"downsample blocks use stride 2, got {self.stride}")
         if self.kind in ("binary-conv-1x1", "downsample") \
                 and self.c_out not in (self.c_in, 2 * self.c_in):
             raise SpecError(
@@ -127,14 +133,19 @@ class NetworkSpec:
     in_channels: int = 3
 
     def validate(self):
-        if not self.layers:
-            raise SpecError("empty layer list")
-        if self.layers[0].kind != "stem-conv":
-            raise SpecError("first layer must be the full-precision stem")
-        if self.layers[-1].kind != "classifier":
-            raise SpecError("last layer must be the full-precision classifier")
-        c = self.in_channels
         h, w = self.input_hw
+        if min(h, w, self.in_channels, self.classes) < 1:
+            raise SpecError(f"input {h}x{w}, in_channels {self.in_channels} and "
+                            f"classes {self.classes} must be positive")
+        if not self.layers:
+            raise SpecError(f"{self.name}: empty layer list")
+        if self.layers[0].kind != "stem-conv":
+            raise SpecError("first layer must be the full-precision stem, "
+                            f"got {self.layers[0].kind}")
+        if self.layers[-1].kind != "classifier":
+            raise SpecError("last layer must be the full-precision classifier, "
+                            f"got {self.layers[-1].kind}")
+        c = self.in_channels
         for i, ls in enumerate(self.layers):
             ls.validate()
             if ls.c_in != c:
@@ -145,8 +156,10 @@ class NetworkSpec:
                 raise SpecError(f"binary-mlp at layer {i} needs h,w >= 2, got {h}x{w}")
             if ls.kind == "classifier":
                 if i != len(self.layers) - 1:
-                    raise SpecError("classifier must be last")
-                c = self.classes
+                    raise SpecError(f"classifier at layer {i} must be last")
+                if ls.c_out != self.classes:
+                    raise SpecError(f"classifier out = {ls.c_out} is not "
+                                    f"classes = {self.classes}")
                 continue
             if h % ls.divisor or w % ls.divisor:
                 raise SpecError(f"layer {i} downsamples {h}x{w} "
@@ -217,13 +230,11 @@ _KIND_ONLY_KEYS = {"kernel": ("stem-conv",), "branches": ("binary-mlp",)}
 def parse_network_spec(text: str) -> NetworkSpec:
     """Parse the plain-text key-value spec format emitted by to_text()."""
     sections = []
-    for ln, name, key, val in iter_ini(text, SpecError):
-        if name not in _SECTION_KEYS:
-            raise SpecError(f"line {ln}: unknown section [{name}]")
+    for ln, name, key, val in iter_ini(text, SpecError, _SECTION_KEYS):
         if key is None:
+            if name == "network" and any(s[1] == "network" for s in sections):
+                raise SpecError(f"line {ln}: a second [network] section")
             sections.append((ln, name, {}))
-        elif key not in _SECTION_KEYS[name]:
-            raise SpecError(f"line {ln}: unknown {name} key {key!r}")
         else:
             kind = _SECTION_KEYS[name][key]
             try:
@@ -252,7 +263,7 @@ def parse_network_spec(text: str) -> NetworkSpec:
             if key in sec and kind not in kinds:
                 raise SpecError(f"line {ln}: {kind} takes no {key!r}; "
                                 f"only {', '.join(kinds)} sets it")
-        c_out = net.classes if kind == "classifier" else sec["out"]
+        c_out = sec.get("out", net.classes)  # only a classifier may omit out
         ls = LayerSpec(kind=kind, c_in=c, c_out=c_out, stride=sec.get("stride", 1),
                        kernel=sec.get("kernel", 3), dynamic=sec.get("dynamic", False),
                        pool=sec.get("pool", False))
@@ -260,6 +271,9 @@ def parse_network_spec(text: str) -> NetworkSpec:
             ls.branches = tuple(b.strip() for b in sec["branches"].split(","))
         try:
             ls.validate()
+            if kind == "classifier" and c_out != net.classes:
+                raise SpecError(f"classifier out = {c_out} is not "
+                                f"classes = {net.classes}")
         except SpecError as e:
             raise SpecError(f"line {ln}: {e}") from None
         net.layers.append(ls)
@@ -294,11 +308,9 @@ class Network:
         for p in self.params().values():
             p.grad = None
 
-    def forward(self, x, training=False, surrogate=False):
+    def forward(self, x: np.ndarray, training=False, surrogate=False):
         """Float-graph forward; returns the logits Tensor."""
-        if isinstance(x, np.ndarray):
-            self._check_resolution(x)
-            x = ag.Tensor(np.ascontiguousarray(x, dtype=self.dtype))
+        x = ag.Tensor(self._input(x))
         st = ForwardState(training=training, binary_weights=self.binary_weights,
                           surrogate=surrogate)
         for layer in self.layers:
@@ -309,20 +321,22 @@ class Network:
         """Evaluation forward with every binary core on the bit-packed kernels
     (evaluation statistics, binary weights); equals forward() exactly."""
         if not self.binary_weights:
-            raise ValueError("packed execution requires binarized weights")
-        self._check_resolution(x)
-        x = np.ascontiguousarray(x, dtype=self.dtype)
+            raise ValueError("packed execution requires binarized weights; "
+                             f"the network is at step {self.step}")
+        x = self._input(x)
         for layer in self.layers:
             x = layer.infer_packed(x)
         return x
 
-    def _check_resolution(self, x):
+    def _input(self, x: np.ndarray) -> np.ndarray:
+        """x checked against the spec's input shape, cast to the network's dtype."""
         n, c, h, w = x.shape
         if (h, w) != tuple(self.spec.input_hw) or c != self.spec.in_channels:
             raise ValueError(
                 f"input {c}x{h}x{w} does not match spec "
                 f"{self.spec.in_channels}x{self.spec.input_hw[0]}x{self.spec.input_hw[1]}"
             )
+        return np.ascontiguousarray(x, dtype=self.dtype)
 
     def state_arrays(self) -> dict:
         arrays = {f"p.{k}": p.data for k, p in self.params().items()}
@@ -359,10 +373,9 @@ def build(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:
         if ls.kind == "stem-conv":
             layers.append(StemConv(ls.c_in, ls.c_out, ls.stride, rng, dtype,
                                    kernel=ls.kernel, pool=ls.pool))
-        elif ls.kind in ("binary-conv-3x3", "binary-conv-1x1", "downsample"):
-            k = 1 if ls.kind == "binary-conv-1x1" else 3
-            layers.append(BinaryConvBlock(ls.c_in, ls.c_out, k, ls.stride, rng,
-                                          dtype, dynamic=ls.dynamic))
+        elif ls.kind in BINARY_CONV_KERNELS:
+            layers.append(BinaryConvBlock(ls.c_in, ls.c_out, BINARY_CONV_KERNELS[ls.kind],
+                                          ls.stride, rng, dtype, dynamic=ls.dynamic))
         elif ls.kind == "binary-mlp":
             layers.append(BinaryMlpBlock(ls.c_in, rng, dtype, branches=ls.branches))
         elif ls.kind == "classifier":
@@ -377,18 +390,18 @@ def build(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:
 def replace_trailing_convs(spec: NetworkSpec, n_mlp: int) -> NetworkSpec:
     """Swap the last n_mlp/3 stride-1 3x3 conv blocks for MLP triples.
 
-    Downsampling blocks are never replaced; asking for more replacements
-    than there are eligible conv blocks is an error.
+    Downsampling blocks are never replaced; a count that is not a whole
+    number of eligible blocks raises ReplacementError.
     """
     if n_mlp < 0 or n_mlp % 3 != 0:
-        raise SpecError("replacement converts whole conv blocks (3 MLPs each), "
-                        f"got n_mlp = {n_mlp}")
+        raise ReplacementError("replacement converts whole conv blocks (3 MLPs each), "
+                               f"got n_mlp = {n_mlp}")
     candidates = [i for i, ls in enumerate(spec.layers)
                   if ls.kind == "binary-conv-3x3" and ls.c_in % 4 == 0]
     k = n_mlp // 3
     if k > len(candidates):
-        raise SpecError(f"cannot replace {k} conv blocks; only {len(candidates)} "
-                        "eligible (downsampling layers are never replaced)")
+        raise ReplacementError(f"cannot replace {k} conv blocks; only {len(candidates)} "
+                               "eligible (downsampling layers are never replaced)")
     chosen = set(candidates[len(candidates) - k:])
     layers = []
     for i, ls in enumerate(spec.layers):

@@ -179,11 +179,8 @@ class AdamW:
         return top
 
 
-def loss(logits, labels, smoothing: float = 0.0):
-    """Cross-entropy against label-smoothed targets; accepts arrays or
-    graph tensors (returns a float for arrays, a Tensor otherwise)."""
-    if isinstance(logits, ag.Tensor):
-        return ag.cross_entropy(logits, labels, smoothing)
+def loss(logits, labels, smoothing: float = 0.0) -> float:
+    """Cross-entropy of an array of logits against label-smoothed targets."""
     t = ag.cross_entropy(ag.Tensor(np.asarray(logits)), labels, smoothing)
     return float(t.data)
 
@@ -310,8 +307,9 @@ def sweep_replacement(base_spec: nw.NetworkSpec, n_mlp_list, band: float = 0.03,
     base_ops = cm.count_network(base_spec).ops
     lo, hi = base_ops * (1 - band), base_ops * (1 + band)
     rows = []
-    for n_mlp in n_mlp_list:
-        spec = nw.replace_trailing_convs(base_spec, n_mlp)
+    # every point's spec is built, and so checked, before any point trains
+    specs = [nw.replace_trailing_convs(base_spec, n) for n in n_mlp_list]
+    for n_mlp, spec in zip(n_mlp_list, specs):
         report = cm.count_network(spec)
         n_conv = sum(1 for ls in spec.layers if ls.kind == "binary-conv-3x3")
         row = {

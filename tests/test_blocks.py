@@ -41,6 +41,16 @@ class TestReconstructShort:
         out = bt.unpack(bk.reconstruct_short(b))
         assert np.array_equal(out, reconstruct_oracle(x, bk.SHORT_OFFSETS))
 
+    @pytest.mark.parametrize("c", [60, 64, 68, 132, 260])
+    def test_multi_word_quartiles_match_oracle(self, rng, c):
+        """Quartiles that straddle word boundaries, across up to five words."""
+        x, b = random_bits(rng, 2, c, 4, 6)
+        for reconstruct, offsets in ((bk.reconstruct_short, bk.SHORT_OFFSETS),
+                                     (bk.reconstruct_long, bk.long_offsets(4, 6))):
+            out = reconstruct(b)
+            assert out.padding_is_clean()
+            assert np.array_equal(bt.unpack(out), reconstruct_oracle(x, offsets))
+
     def test_impulse_moves_down_under_minus_one_offset(self):
         """Quartile 0 samples from (i-1, j): an impulse at (i, j) appears
         at (i+1 mod h, j)."""

@@ -360,6 +360,33 @@ class TestErrors:
         col = header.split("\t").index("in_band")
         assert [r.split("\t")[col] for r in rows] == ["True", "False"]
 
+    @pytest.mark.parametrize("verb,setting,got", [
+        ("sweep", "sweep.points=0,4", "whole conv blocks (3 MLPs each), got n_mlp = 4"),
+        ("sweep", "sweep.points=0,33", "cannot replace 11 conv blocks; only 10 eligible"),
+        ("export-spec", "network.n_mlp=4", "whole conv blocks (3 MLPs each), got n_mlp = 4"),
+        ("export-spec", "network.n_mlp=-3", "got n_mlp = -3"),
+        ("export-spec", "network.n_mlp=33", "cannot replace 11 conv blocks; only 10 eligible")])
+    def test_impossible_replacement_count_is_usage_error(self, tmp_path, monkeypatch,
+                                                         capsys, verb, setting, got):
+        """The count is a config value, so the error names its key."""
+        monkeypatch.chdir(tmp_path)
+        rc = run([verb, "--set", "network.preset=desk-sweep", "--set", setting])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {setting.split('=')[0]}: ") and got in err
+
+    def test_impossible_sweep_point_rejected_before_training(self, workdir, capsys,
+                                                             monkeypatch):
+        def no_training(*args):
+            raise AssertionError("trained before the sweep points were checked")
+
+        monkeypatch.setattr(cli.tr, "train_step", no_training)
+        rc = run(["sweep", "--config", "run.cfg", "--set", "sweep.train=true",
+                  "--set", "sweep.points=0,3"])
+        assert rc == 1
+        assert "sweep.points: cannot replace 1 conv blocks; only 0 eligible" \
+            in capsys.readouterr().err
+
     def test_diverged_training_is_runtime_error(self, workdir, capsys):
         assert run(["train", "--config", "run.cfg", "--output", "ck.bin",
                     "--set", "train.lr=1e4"]) == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from bitcontext import costmodel as cm
@@ -101,6 +103,31 @@ class TestCountNetwork:
         assert "total" in text and "conv+fc" in text
         tsv = r.to_delimited()
         assert tsv.splitlines()[0] == "layer\tbops\tflops\tops"
+
+
+class TestPinnedReports:
+    # sha256 of count_network(preset, mac_ops).to_delimited(), per preset
+    # and convention; a change to the counting rules keeps them.
+    REPORT_SHA256 = {
+        ("bcdnet-a-like", 1): "55e019c0de8fd5b38d991d08483857d7e3db6c18834d7b6fa4f94653dd48195e",
+        ("bcdnet-a-like", 2): "b8aceee9d97b06099264465a7c46572b76b328e2845aedb3d7a69adf0e15b834",
+        ("bcdnet-b-like", 1): "6caef3e9318401f00e7b84c40831ebb307976ac58c0a1538e63916cc8830b45b",
+        ("bcdnet-b-like", 2): "43b474cf70218c850a671cd8b86a15001d422d4053cd55369e86621ad5fb20ac",
+        ("desk-micro", 1): "f285746112d4dd7a0cc1af27aeaaaa4477e4becf99cb6e4764cf81c667023726",
+        ("desk-micro", 2): "71090fa4353f9af1b3fbee8c7bbdd273272d86d3e24615fdc0f3badba717ca31",
+        ("desk-sweep", 1): "a75b904736f97be00091b9f2165992edac492ae1fa5f8570e732462c1ab65233",
+        ("desk-sweep", 2): "b05d5d890492c1f71a1392f8dc0d9cd805a73723373260c234f276a7e2eb8f74",
+        ("desk-tiny", 1): "b4443aecbceac1c52035c845358e5befa2e916deb358f6c54ac876702a2d7ada",
+        ("desk-tiny", 2): "d353ac8275de7caa4cd600397a8bf6625c267320248b89f05f7769c2d6574dbb",
+        ("reactnet18-like", 1): "3451c9d0fc403988fe3e5755499053096f9b08eb6edf03695570524e59dcdbae",
+        ("reactnet18-like", 2): "2fdb1f511c68a8454295fceb6e7afaa095c3644f286b08ade5f2f539b674ee53",
+    }
+
+    @pytest.mark.parametrize("name,mac_ops", sorted(REPORT_SHA256))
+    def test_preset_report_is_pinned(self, name, mac_ops):
+        text = cm.count_network(nw.preset(name), mac_ops=mac_ops).to_delimited()
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == self.REPORT_SHA256[name, mac_ops]
 
 
 class TestTableFiveRatios:

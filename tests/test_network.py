@@ -179,6 +179,59 @@ class TestSpecs:
         with pytest.raises(nw.SpecError):
             ls.validate()
 
+    @pytest.mark.parametrize("section,old", [("network", "classes = 10"),
+                                             ("layer", "kind = classifier")])
+    def test_unknown_spec_key_names_its_path(self, section, old):
+        text = _stem_spec_text().replace(old, f"{old}\nwhat = 1")
+        with pytest.raises(nw.SpecError, match=f"unknown key {section}.what"):
+            nw.parse_network_spec(text)
+
+    @pytest.mark.parametrize("old,line,key", [
+        ("classes = 10", 4, "network.classes"), ("stride = 2", 10, "layer.stride")])
+    def test_repeated_spec_key_names_its_line(self, old, line, key):
+        """The first value would otherwise be dropped without a word."""
+        text = _stem_spec_text().replace(old, f"{old}\n{old}")
+        with pytest.raises(nw.SpecError, match=f"line {line}: repeated key {key}"):
+            nw.parse_network_spec(text)
+
+    def test_repeated_config_key_names_its_line(self):
+        with pytest.raises(ConfigError, match="line 3: repeated key train.lr"):
+            parse_config("[train]\nlr = 1\nlr = 2\n")
+        # a key may appear once in each of two sections
+        cfg = parse_config("[train]\nlr = 1\n[train2]\nlr = 2\n")
+        assert (cfg["train"]["lr"], cfg["train2"]["lr"]) == (1.0, 2.0)
+
+    def test_second_network_section_names_its_line(self):
+        text = "[network]\ninput = 8x8\nclasses = 3\n\n" + nw.desk_micro().to_text()
+        with pytest.raises(nw.SpecError, match="line 5: a second \\[network\\] section"):
+            nw.parse_network_spec(text)
+
+    def test_classifier_width_is_classes(self):
+        stem = nw.LayerSpec("stem-conv", 3, 8, stride=2)
+        spec = nw.NetworkSpec("x", (8, 8), 10, [stem, nw.LayerSpec("classifier", 8, 5)])
+        with pytest.raises(nw.SpecError, match="classifier out = 5 is not classes = 10"):
+            spec.validate()
+        text = _stem_spec_text().replace("kind = classifier", "kind = classifier\nout = 5")
+        with pytest.raises(nw.SpecError,
+                           match="line 12: classifier out = 5 is not classes = 10"):
+            nw.parse_network_spec(text)
+        for head in ("kind = classifier\nout = 10", "kind = classifier"):
+            spec = nw.parse_network_spec(_stem_spec_text().replace("kind = classifier", head))
+            assert spec.layers[-1].c_out == 10
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("input_hw", (0, 0), "input 0x0"), ("input_hw", (8, -8), "input 8x-8"),
+        ("in_channels", 0, "in_channels 0"), ("in_channels", -3, "in_channels -3"),
+        ("classes", 0, "classes 0")])
+    def test_programmatic_network_values_must_be_positive(self, field, value, named):
+        """The file reader's positive-value rule holds for specs built in code."""
+        spec = nw.desk_micro()
+        setattr(spec, field, value)
+        with pytest.raises(nw.SpecError, match=named):
+            spec.validate()
+        with pytest.raises(nw.SpecError, match=named):
+            nw.build(spec)
+
     def test_spec_parse_rejects_unknown_keys(self):
         text = nw.desk_micro().to_text().replace("classes = 10",
                                                  "classes = 10\nwhat = 1")
@@ -485,6 +538,19 @@ class TestPersistence:
         again = nw.load(p)
         assert np.array_equal(again.forward(x, training=False).data, ref)
         assert again.binary_weights == net.binary_weights
+
+    def test_forward_checks_and_casts_every_input(self, rng):
+        """Both routes read the input through one rule: shape-checked, then
+        cast to the network's dtype."""
+        net = nw.build(nw.desk_micro(), seed=2)
+        x = rng.normal(size=(2, 1, 16, 16))
+        want = net.forward(x.astype(np.float32)).data
+        got = net.forward(x).data
+        assert got.dtype == np.float32 and np.array_equal(got, want)
+        assert np.array_equal(net.forward_packed(x), want)
+        for forward in (lambda a: net.forward(a), net.forward_packed):
+            with pytest.raises(ValueError, match="input 1x8x8 does not match spec 1x16x16"):
+                forward(np.zeros((1, 1, 8, 8)))
 
     def test_float64_roundtrip_keeps_dtype_and_logits(self, tmp_path, rng):
         """load builds the network in the checkpoint's own dtype."""
