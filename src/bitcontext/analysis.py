@@ -47,13 +47,10 @@ class BinErrReport:
 
 def binarization_error(w: np.ndarray, mode: str = "xnor") -> float:
     """Mean |alpha*sign(w) - w| with alpha per the selected mode."""
-    w = np.asarray(w, dtype=np.float64)
+    w = np.atleast_2d(np.asarray(w, dtype=np.float64))  # 1-D weights: one filter
     if w.size == 0:
         raise ValueError("empty weight tensor")
-    if w.ndim == 1:
-        w = w[None, :]
-    c_out = w.shape[0]
-    c_in = w.shape[1]
+    c_out, c_in = w.shape[:2]
     flat = w.reshape(c_out, -1)
     sign = hard_sign(flat)
     if mode == "xnor":

@@ -53,16 +53,6 @@ def sample_index(pos, off, h: int, w: int):
     return ((pos[0] + off[0]) % h, (pos[1] + off[1]) % w)
 
 
-def branch_offsets(kind: str, h: int, w: int):
-    if kind == "point":
-        return None
-    if kind == "short":
-        return SHORT_OFFSETS
-    if kind == "long":
-        return long_offsets(h, w)
-    raise ValueError(f"unknown branch kind {kind!r}")
-
-
 def _reconstruct(a_b: BitTensor, offsets) -> BitTensor:
     if len(a_b.shape) != 4:
         raise DimensionError("token reconstruction expects a packed NCHW tensor, "
@@ -291,14 +281,13 @@ class BinaryMlpBlock(_Layer, _NormAct):
     ablations reuse the same block.
     """
 
-    def __init__(self, c, rng, dtype=np.float32,
-                 branches=("point", "short", "long")):
+    def __init__(self, c, rng, dtype=np.float32, branches=BRANCH_KINDS):
         super().__init__()
         if c % 4 != 0:
             raise DimensionError(f"MLP block needs channels % 4 == 0, got {c}")
-        for b in branches:
-            if b not in BRANCH_KINDS:
-                raise ValueError(f"unknown branch kind {b!r}")
+        if len(branches) != 3 or any(b not in BRANCH_KINDS for b in branches):
+            raise ValueError(f"an MLP block takes 3 branches of {BRANCH_KINDS}, "
+                             f"got {tuple(branches)!r}")
         self.c = c
         self.branches = tuple(branches)
         self.ws = [self._add_param(f"w{i}", _uniform(rng, (c, c), c, dtype))
@@ -316,9 +305,10 @@ class BinaryMlpBlock(_Layer, _NormAct):
                 src = reconstruct_long(src)
             return Tensor(binary_conv2d(src, pack_filters(w.data[:, :, None, None]),
                                         _scale(w, st)))
-        offs = branch_offsets(kind, src.shape[2], src.shape[3])
-        tok = src if offs is None else ag.quartile_shift(src, offs)
-        return ag.token_fc(tok, w, surrogate=st.surrogate, scale=_scale(w, st))
+        if kind != "point":
+            offs = SHORT_OFFSETS if kind == "short" else long_offsets(*src.shape[2:])
+            src = ag.quartile_shift(src, offs)
+        return ag.token_fc(src, w, surrogate=st.surrogate, scale=_scale(w, st))
 
     def forward(self, x: Tensor, st: ForwardState) -> Tensor:
         if st.packed:

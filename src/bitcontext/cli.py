@@ -126,10 +126,10 @@ def _emit(text, args, cfg):
         print(text)
 
 
-def _train_config(cfg, step, train_data) -> tr.TrainConfig:
-    """Training step `step` (1 or 2) as configured and validated: step 1
-    reads [train], step 2 [train2]; seeded run.seed + step. A kd_weight > 0
-    needs kd_logits, one row of teacher logits per training image."""
+def _train_config(cfg, step, train_data, classes) -> tr.TrainConfig:
+    """Training step `step` (1 or 2) of a `classes`-class network as
+    configured and validated: step 1 reads [train], step 2 [train2]; seeded
+    run.seed + step. A kd_weight > 0 needs kd_logits."""
     section = "train" if step == 1 else "train2"
     scfg = cfg[section]
     teacher = None
@@ -138,10 +138,6 @@ def _train_config(cfg, step, train_data) -> tr.TrainConfig:
             teacher = np.load(scfg["kd_logits"])
         except OSError as e:
             raise RuntimeFailure(f"teacher logits: {e}") from None
-        if teacher.shape != (len(train_data), train_data.classes):
-            raise RuntimeFailure(
-                f"teacher logits shape {teacher.shape} does not match "
-                f"{len(train_data)} x {train_data.classes}")
     elif scfg["kd_weight"] > 0.0:
         raise ConfigError(f"{section}.kd_weight = {scfg['kd_weight']} needs "
                           f"{section}.kd_logits")
@@ -149,6 +145,7 @@ def _train_config(cfg, step, train_data) -> tr.TrainConfig:
     tcfg = tr.TrainConfig(step=step, seed=cfg["run"]["seed"] + step,
                           teacher_logits=teacher,
                           **{k: v for k, v in scfg.items() if k != "kd_logits"})
+    tr.check_classes(train_data, classes, teacher)
     try:
         return tcfg.validate(len(train_data))
     except ValueError as e:  # the message leads with the field, here the key
@@ -166,7 +163,7 @@ def cmd_train(args) -> int:
     if args.init:
         nw.load_into(net, args.init)
     history = []
-    for tcfg in [_train_config(cfg, int(step), train_data) for step in steps]:
+    for tcfg in [_train_config(cfg, int(step), train_data, spec.classes) for step in steps]:
         res = tr.train_step(net, train_data, tcfg)
         history.extend((tcfg.step, i, v) for i, v in enumerate(res.loss_history))
         last = np.mean(res.loss_history[-10:]) if res.loss_history else float("nan")
@@ -225,7 +222,7 @@ def cmd_sweep(args) -> int:
     if scfg["train"]:
         train_data = _load_data(cfg, "train_split")
         eval_data = _load_data(cfg, "eval_split")
-        cfgs = [_train_config(cfg, step, train_data) for step in (1, 2)]
+        cfgs = [_train_config(cfg, s, train_data, base_spec.classes) for s in (1, 2)]
     try:
         rows = tr.sweep_replacement(base_spec, points, scfg["band"],
                                     train_data=train_data, eval_data=eval_data,

@@ -1,7 +1,7 @@
 """Plain-text key-value run configuration with strict schema validation.
 
 Format: `[section]` headers followed by `key = value` lines; `#` starts a
-comment. Unknown sections or keys and repeated keys are rejected by line.
+comment. Unknown or repeated sections and keys are rejected by line.
 Command-line overrides use `section.key=value` and win over the file.
 Network spec files use the same format (see iter_ini).
 """
@@ -20,12 +20,8 @@ class ConfigError(ValueError):
 
 def _coerce(section, key, value, kind):
     try:
-        if kind is bool:
-            if value.lower() not in _BOOL:
-                raise ValueError
-            return _BOOL[value.lower()]
-        return kind(value)
-    except ValueError:
+        return _BOOL[value.lower()] if kind is bool else kind(value)
+    except (KeyError, ValueError):
         raise ConfigError(
             f"{section}.{key}: cannot parse {value!r} as {kind.__name__}"
         ) from None
@@ -51,15 +47,16 @@ DEFAULTS = {
 SCHEMA = {s: {k: type(v) for k, v in keys.items()} for s, keys in DEFAULTS.items()}
 
 
-def iter_ini(text: str, error, schema):
+def iter_ini(text: str, error, schema, repeatable):
     """Tokenize `[section]` / `key = value` text with `#` comments.
 
     Yields (line number, section, key, value) per non-blank line; key and
     value are None on a section header. A section or key not in ``schema``,
-    a key repeated within one section, and a key line outside any section or
-    without `=` raise ``error`` naming the line; values are the caller's.
+    a second header of a section not in ``repeatable``, a key repeated within
+    one section, and a key line outside any section or without `=` raise
+    ``error`` naming the line; values are the caller's.
     """
-    section = None
+    section, opened = None, set()
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -68,6 +65,9 @@ def iter_ini(text: str, error, schema):
             section, seen = line[1:-1].strip(), set()
             if section not in schema:
                 raise error(f"line {ln}: unknown section [{section}]")
+            if section in opened and section not in repeatable:
+                raise error(f"line {ln}: a second [{section}] section")
+            opened.add(section)
             yield ln, section, None, None
             continue
         if section is None:
@@ -87,7 +87,7 @@ def parse_config(text: str) -> dict:
     """Parse and validate; returns {section: {key: typed value}} with
     defaults filled in."""
     cfg = {s: dict(v) for s, v in DEFAULTS.items()}
-    for _, section, key, value in iter_ini(text, ConfigError, SCHEMA):
+    for _, section, key, value in iter_ini(text, ConfigError, SCHEMA, ()):
         if key is not None:
             cfg[section][key] = _coerce(section, key, value, SCHEMA[section][key])
     return cfg

@@ -17,7 +17,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -230,10 +230,8 @@ _KIND_ONLY_KEYS = {"kernel": ("stem-conv",), "branches": ("binary-mlp",)}
 def parse_network_spec(text: str) -> NetworkSpec:
     """Parse the plain-text key-value spec format emitted by to_text()."""
     sections = []
-    for ln, name, key, val in iter_ini(text, SpecError, _SECTION_KEYS):
+    for ln, name, key, val in iter_ini(text, SpecError, _SECTION_KEYS, ("layer",)):
         if key is None:
-            if name == "network" and any(s[1] == "network" for s in sections):
-                raise SpecError(f"line {ln}: a second [network] section")
             sections.append((ln, name, {}))
         else:
             kind = _SECTION_KEYS[name][key]
@@ -347,6 +345,12 @@ class Network:
         """Copy named tensors into the network's own arrays. A missing
         tensor, a tensor the network has no place for and a shape mismatch
         raise CheckpointError before any array is written."""
+        for name, dst in self._placed(arrays).items():
+            dst[...] = arrays[name].astype(dst.dtype)
+
+    def _placed(self, arrays: dict) -> dict:
+        """The network's own arrays by name, once arrays is found to hold each
+        name at its shape and no other name; else CheckpointError."""
         own = self.state_arrays()
         extra = sorted(set(arrays) - set(own))
         if extra:
@@ -360,12 +364,14 @@ class Network:
                 raise CheckpointError(
                     f"shape mismatch for {name}: {src.shape} vs {dst.shape}"
                 )
-        for name, dst in own.items():
-            dst[...] = arrays[name].astype(dst.dtype)
+        return own
 
 
 def build(spec: NetworkSpec, seed: int = 0, dtype=np.float32) -> Network:
     """Materialize a spec into an executable network (deterministic init)."""
+    if np.dtype(dtype) not in _DTYPE_CODES:
+        raise ValueError(f"network dtype {np.dtype(dtype)} is not one of "
+                         f"{', '.join(map(str, _DTYPE_CODES))}")
     spec.validate()
     rng = np.random.default_rng(seed)
     layers = []
@@ -637,8 +643,8 @@ def load_into(net: Network, path) -> Network:
     the checkpoint's plain one with dynamic embeddings: absent `dyn.*`
     parameters, inert as built (W2 = W3 = 0), keep their values, and a plain
     layer's `thr` seeds the `dyn.b_beta` that replaces it, so the network
-    computes what the checkpoint did. Otherwise as strict as load."""
-    _, meta, arrays = read_checkpoint(path)
+    computes what the checkpoint did. Otherwise the specs may differ only in name."""
+    spec, meta, arrays = read_checkpoint(path)
     own = net.state_arrays()
     for name in [k for k in arrays if k.endswith(".thr") and k not in own]:
         beta = name[:-len("thr")] + "dyn.b_beta"
@@ -647,9 +653,27 @@ def load_into(net: Network, path) -> Network:
     for name in own:
         if ".dyn." in name:
             arrays.setdefault(name, own[name])
+    net._placed(arrays)  # names and shapes first, then the architecture
+    _check_architecture(spec, net.spec, path)
     net.load_state_arrays(arrays)
     net.step = meta["step"]
     return net
+
+
+def _check_architecture(saved: NetworkSpec, own: NetworkSpec, path):
+    """Raise CheckpointError at the first difference between a checkpoint's
+    spec and a network's, but for the name and plain layers made dynamic."""
+    pairs = [("spec", replace(saved, name=own.name, layers=len(saved.layers)),
+              replace(own, input_hw=tuple(own.input_hw), layers=len(own.layers)))]
+    pairs += [(f"layer {i} ({a.kind})", replace(a, dynamic=a.dynamic or b.dynamic),
+               replace(b, branches=tuple(b.branches)))
+              for i, (a, b) in enumerate(zip(saved.layers, own.layers))]
+    for where, a, b in pairs:
+        diff = [f"{f.name} {getattr(a, f.name)!r} -> {getattr(b, f.name)!r}"
+                for f in fields(a) if getattr(a, f.name) != getattr(b, f.name)]
+        if diff:
+            raise CheckpointError(f"{path}: {where} differs: {', '.join(diff)} "
+                                  "(checkpoint -> network)")
 
 
 def _metadata(blob: bytes, path) -> dict:

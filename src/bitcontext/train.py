@@ -185,6 +185,18 @@ def loss(logits, labels, smoothing: float = 0.0) -> float:
     return float(t.data)
 
 
+def check_classes(data: Dataset, classes: int, teacher_logits=None):
+    """Raise ValueError, naming both class counts, unless data's labels and
+    teacher_logits, when given, fit a network of `classes` outputs."""
+    lo, hi = int(data.y.min()), int(data.y.max())
+    if lo < 0 or hi >= classes:
+        raise ValueError(f"labels run from {lo} to {hi} ({data.classes} classes), "
+                         f"outside the network's {classes} classes")
+    if teacher_logits is not None and teacher_logits.shape != (len(data), classes):
+        raise ValueError(f"teacher logits shape {teacher_logits.shape} does not match "
+                         f"{len(data)} images x the network's {classes} classes")
+
+
 def _batch_iter(n: int, batch_size: int, iterations: int, rng):
     """Shuffled epochs flattened into a fixed number of iterations."""
     order = rng.permutation(n)
@@ -208,6 +220,7 @@ def train_step(net: nw.Network, data: Dataset, cfg: TrainConfig) -> TrainResult:
     DivergenceError before that iteration's update is applied, with the
     batch-norm running statistics restored to their values before it."""
     cfg.validate(len(data))
+    check_classes(data, net.spec.classes, cfg.teacher_logits)
     net.step = cfg.step
     rng = np.random.default_rng(cfg.seed)
     opt = AdamW(net.params(), weight_decay=cfg.weight_decay)
@@ -269,6 +282,7 @@ def train_step2(net: nw.Network, init: dict | None, data: Dataset,
 
 def evaluate(net: nw.Network, data: Dataset, packed: bool = False) -> Metrics:
     """Deterministic full-set evaluation (top-1/top-5/mean loss)."""
+    check_classes(data, net.spec.classes)
     n = len(data)
     correct1 = correct5 = 0
     total_loss = 0.0

@@ -6,6 +6,11 @@ from bitcontext import network as nw
 
 
 class TestBinarizationError:
+    def test_one_dimensional_weights_are_one_filter(self):
+        w = np.array([1.0, -1.0, 3.0])
+        for mode in ("xnor", "literal"):
+            assert an.binarization_error(w, mode) == an.binarization_error(w[None], mode)
+
     def test_exact_sign_multiple_is_zero(self):
         sign = np.where(np.arange(30).reshape(2, 15) % 4 < 2, 1.0, -1.0)
         assert an.binarization_error(0.5 * sign, "xnor") == 0.0

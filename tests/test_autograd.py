@@ -411,6 +411,13 @@ class _SquaredError:
 
 
 class TestBackward:
+    def test_tensor_added_to_itself_gets_both_gradients(self, rng):
+        x = ag.param(rng.normal(size=(3, 2)), dtype=np.float64)
+        target = rng.normal(size=(3, 2))
+        y = ag.add(x, x)
+        _SquaredError.apply(y, target).backward()
+        assert np.array_equal(x.grad, 2.0 * (2.0 * (y.data - target)))
+
     def test_linear_layer_quadratic_loss_analytic(self, rng):
         x = ag.Tensor(rng.normal(size=(5, 4)))
         w = ag.param(rng.normal(size=(4, 3)), dtype=np.float64)

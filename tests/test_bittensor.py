@@ -153,6 +153,14 @@ class TestBinaryGemm:
             got = bt.binary_gemm(bt.pack(a), bt.pack(w), s)
             assert np.array_equal(got, (a @ w.T) * s[None, :])
 
+    def test_integer_scale_equals_its_float32_cast(self, rng):
+        a = bt.pack(rng.choice([-1.0, 1.0], size=(4, 70)))
+        w = bt.pack(rng.choice([-1.0, 1.0], size=(3, 70)))
+        got = bt.binary_gemm(a, w, np.array([1, 2, 3]))
+        want = bt.binary_gemm(a, w, np.array([1, 2, 3], np.float32))
+        assert got.dtype == want.dtype == np.float32
+        assert np.array_equal(got, want)
+
     def test_scale_length_mismatch(self, rng):
         a = bt.pack(rng.choice([-1.0, 1.0], size=(2, 8)))
         w = bt.pack(rng.choice([-1.0, 1.0], size=(3, 8)))

@@ -214,6 +214,11 @@ class TestBinaryMlpBlock:
             ref_acc = ref_scaled if ref_acc is None else ref_acc + ref_scaled
         assert np.array_equal(acc, ref_acc)
 
+    @pytest.mark.parametrize("branches", [("point", "short"), ("point",) * 4, ()])
+    def test_branch_count_is_three(self, branches):
+        with pytest.raises(ValueError, match="takes 3 branches"):
+            bk.BinaryMlpBlock(8, np.random.default_rng(1), branches=branches)
+
     def test_branch_config_pointwise_only(self, rng):
         blk = bk.BinaryMlpBlock(8, np.random.default_rng(1),
                                 branches=("point", "point", "point"))

@@ -486,6 +486,68 @@ class TestErrors:
         assert f"error: {section}.batch_size must be in [1, 300]" in err
         assert "step 1:" not in out and not os.path.exists("ck.bin")
 
+    def test_verb_without_its_required_option_is_usage_error(self, capsys):
+        assert run(["train"]) == 1
+        assert "error: the following arguments are required: --output" \
+            in capsys.readouterr().err
+
+    def test_unparsable_override_is_usage_error(self, capsys):
+        assert run(["count-ops", "--set", "network.dynamic=maybe"]) == 1
+        assert "network.dynamic: cannot parse 'maybe' as bool" in capsys.readouterr().err
+
+    def test_second_config_section_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "twice.cfg").write_text("[train]\nlr = 1\n[train]\nlr = 2\n")
+        assert run(["count-ops", "--config", "twice.cfg"]) == 1
+        assert "error: line 3: a second [train] section" in capsys.readouterr().err
+
+    def test_init_of_another_architecture_is_runtime_error(self, workdir, capsys):
+        run(["train", "--config", "run.cfg", "--output", "psl.bin", "--steps", "1",
+             "--set", "train.iterations=1"])
+        capsys.readouterr()
+        rc = run(["train", "--config", "run.cfg", "--output", "ppp.bin", "--init",
+                  "psl.bin", "--set", "network.branches=point,point,point"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert err.startswith("error: psl.bin: layer 2 (binary-mlp) differs: branches")
+        assert "step 1:" not in out and not os.path.exists("ppp.bin")
+
+    @staticmethod
+    def _idx_data(root, labels):
+        """An IDX train split of 16x16 single-channel images with these labels."""
+        os.makedirs(root)
+        images = np.random.default_rng(0).integers(0, 256, (len(labels), 16, 16))
+        dt.write_idx(os.path.join(root, "train-images.idx"), images.astype(np.uint8))
+        dt.write_idx(os.path.join(root, "train-labels.idx"), labels.astype(np.uint8))
+
+    def test_labels_past_the_network_are_runtime_error(self, workdir, capsys):
+        self._idx_data("twelve", np.arange(64) % 12)
+        rc = run(["train", "--config", "run.cfg", "--output", "ck.bin",
+                  "--set", "data.synthetic=none", "--set", "data.root=twelve"])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert ("error: labels run from 0 to 11 (12 classes), outside the "
+                "network's 10 classes") in err
+        assert "step 1:" not in out and not os.path.exists("ck.bin")
+
+    @pytest.mark.parametrize("section", ["train", "train2"])
+    def test_teacher_logits_follow_the_network(self, workdir, capsys, section):
+        """8-class data for the 10-class desk-micro takes (64, 10) teacher
+        logits and refuses (64, 8) before step 1 trains."""
+        self._idx_data("eight", np.arange(64) % 8)
+        args = ["train", "--config", "run.cfg", "--output", "ck.bin",
+                "--set", "data.synthetic=none", "--set", "data.root=eight",
+                "--set", "train.iterations=1", "--set", "train2.iterations=1",
+                "--set", f"{section}.kd_weight=0.5", "--set", f"{section}.kd_logits=t.npy"]
+        np.save("t.npy", np.zeros((64, 8), np.float32))
+        assert run(args) == 2
+        out, err = capsys.readouterr()
+        assert ("error: teacher logits shape (64, 8) does not match 64 images x the "
+                "network's 10 classes") in err
+        assert "step 1:" not in out and not os.path.exists("ck.bin")
+        np.save("t.npy", np.zeros((64, 10), np.float32))
+        assert run(args) == 0
+
 
 class TestReports:
     def test_count_ops_matches_cost_model(self, workdir, capsys):

@@ -108,6 +108,15 @@ class TestLoadDir:
         ds = dt.load_dir(tmp_path, "data_batch")
         assert np.array_equal(ds.y, np.concatenate([parts[f][1] for f in order]))
 
+    def test_float_idx_images_load_as_stored(self, tmp_path, rng):
+        """Only uint8 pixels are normalized; float32 images are model units."""
+        images = rng.normal(size=(6, 4, 4)).astype(np.float32)
+        dt.write_idx(tmp_path / "train-images.idx", images)
+        dt.write_idx(tmp_path / "train-labels.idx", np.arange(6, dtype=np.uint8))
+        ds = dt.load_dir(tmp_path, "train")
+        assert ds.x.dtype == np.float32
+        assert np.array_equal(ds.x, images[:, None])
+
     def test_idx_image_label_count_mismatch(self, tmp_path):
         dt.write_idx(tmp_path / "train-images.idx", np.zeros((10, 4, 4), np.uint8))
         dt.write_idx(tmp_path / "train-labels.idx", np.zeros(4, np.uint8))

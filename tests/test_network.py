@@ -1,8 +1,10 @@
 import hashlib
 import os
+import re
 import struct
 import types
 import zlib
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -200,6 +202,14 @@ class TestSpecs:
         # a key may appear once in each of two sections
         cfg = parse_config("[train]\nlr = 1\n[train2]\nlr = 2\n")
         assert (cfg["train"]["lr"], cfg["train2"]["lr"]) == (1.0, 2.0)
+
+    def test_second_config_section_names_its_line(self):
+        """A reopened section would otherwise replace the earlier value."""
+        for text in ("[train]\nlr = 1\n[train]\nlr = 2\n", "[train]\nlr = 1\n[train]\n"):
+            with pytest.raises(ConfigError, match="line 3: a second \\[train\\] section"):
+                parse_config(text)
+        # a spec file repeats [layer], once per layer
+        assert len(nw.parse_network_spec(nw.desk_micro().to_text()).layers) == 6
 
     def test_second_network_section_names_its_line(self):
         text = "[network]\ninput = 8x8\nclasses = 3\n\n" + nw.desk_micro().to_text()
@@ -658,6 +668,44 @@ class TestPersistence:
         x = rng.normal(size=(2, 1, 16, 16)).astype(np.float32)
         assert np.array_equal(nw.load(p).forward(x).data, net.forward(x).data)
 
+    @pytest.mark.parametrize("variant,differs", [
+        ("branches", "layer 2 (binary-mlp) differs: branches ('point', 'short', "
+                     "'long') -> ('point', 'point', 'point') (checkpoint -> network)"),
+        ("stem", "layer 0 (stem-conv) differs: stride 2 -> 1, pool False -> True")], ids=["branches", "stem"])
+    def test_load_into_another_architecture_rejected(self, tmp_path, variant, differs):
+        """Tensor names and shapes match, but the network is not the saved
+        one: a P-P-P tail, or a stride-1 pooling stem, whose logits differ."""
+        p = tmp_path / "psl.ckpt"
+        nw.save(nw.build(nw.desk_micro(), seed=3), p)
+        spec = nw.desk_micro(branches=("point",) * 3)
+        if variant == "stem":
+            spec = nw.desk_micro()
+            spec.layers[0] = replace(spec.layers[0], stride=1, pool=True)
+        net = nw.build(spec.validate(), seed=4)
+        before = {k: v.copy() for k, v in net.state_arrays().items()}
+        with pytest.raises(nw.CheckpointError, match=re.escape(f"{p}: {differs}")):
+            nw.load_into(net, p)
+        for k, v in net.state_arrays().items():
+            assert np.array_equal(before[k], v), k
+
+    def test_load_into_another_input_size_rejected(self, tmp_path):
+        p = tmp_path / "micro.ckpt"
+        nw.save(nw.build(nw.desk_micro(), seed=3), p)
+        spec = nw.desk_micro()
+        spec.input_hw = (32, 32)
+        with pytest.raises(nw.CheckpointError, match=re.escape(
+                f"{p}: spec differs: input_hw (16, 16) -> (32, 32) (checkpoint")):
+            nw.load_into(nw.build(spec, seed=4), p)
+
+    def test_load_into_takes_another_name_and_dynamic_layers(self, tmp_path):
+        """Lists where the spec reader makes tuples are the same spec."""
+        p = tmp_path / "plain.ckpt"
+        nw.save(nw.build(nw.desk_tiny(), seed=3), p)
+        spec = nw.desk_tiny(dynamic=True)
+        spec.name, spec.input_hw = "tuned", [32, 32]
+        spec.layers[5].branches = list(spec.layers[5].branches)
+        nw.load_into(nw.build(spec, seed=4), p)
+
     def test_load_into_dynamic_variant_keeps_zero_embeddings(self, tmp_path, rng):
         plain = nw.build(nw.desk_tiny(), seed=3)
         p = tmp_path / "plain.ckpt"
@@ -746,6 +794,12 @@ class TestPersistence:
                 load()
             for k, v in net.state_arrays().items():
                 assert np.array_equal(before[k], v), k
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32])
+    def test_build_rejects_a_dtype_no_checkpoint_holds(self, dtype):
+        with pytest.raises(ValueError, match=f"network dtype {np.dtype(dtype)} "
+                           "is not one of float32, float64"):
+            nw.build(nw.desk_micro(), dtype=dtype)
 
     def test_binary_weights_is_derived_from_the_step(self):
         net = nw.build(nw.desk_micro(), seed=0)

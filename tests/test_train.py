@@ -77,6 +77,15 @@ class ReferenceAdamW:
 
 
 class TestAdamW:
+    def test_overflow_check_skips_parameters_without_gradients(self):
+        from bitcontext import autograd as ag
+        params = {"frozen": ag.param(np.ones(3)), "live": ag.param(np.ones(3))}
+        opt = tr.AdamW(params)
+        params["live"].grad = np.ones(3, np.float32)
+        assert not opt.overflows()
+        params["live"].grad = np.full(3, 3e38, np.float32)
+        assert opt.overflows()
+
     @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
     def test_in_place_matches_out_of_place_reference(self, weight_decay):
         from bitcontext import autograd as ag
@@ -246,6 +255,9 @@ class TestCosine:
         assert tr.cosine_lr(0, 1000, 0.25) == 0.25
         assert abs(tr.cosine_lr(1000, 1000, 0.25)) < 1e-12
 
+    def test_no_schedule_keeps_the_peak(self):
+        assert tr.cosine_lr(7, 0, 0.25) == 0.25
+
     def test_monotone_decay(self):
         vals = [tr.cosine_lr(t, 100, 1.0) for t in range(101)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
@@ -377,6 +389,37 @@ class TestTrainStep:
             tr.train_step(net, micro_data, cfg)
             outs.append(net.state_arrays()["p.L00.w"].copy())
         assert not np.array_equal(outs[0], outs[1])
+
+
+class TestClassCounts:
+    """Labels and teacher logits are checked against the network's classes
+    once, before any training or evaluation batch runs."""
+
+    def test_labels_past_the_network_rejected(self, micro_data):
+        data = dt.Dataset(micro_data.x[:64], np.arange(64) % 12, 12)
+        net = nw.build(nw.desk_micro(), seed=0)
+        before = {k: v.copy() for k, v in net.state_arrays().items()}
+        named = r"labels run from 0 to 11 \(12 classes\), outside the network's 10 classes"
+        cfg = tr.TrainConfig(step=1, iterations=2, batch_size=32)
+        with pytest.raises(ValueError, match=named):
+            tr.train_step(net, data, cfg)
+        assert net.step == 0
+        for k, v in net.state_arrays().items():
+            assert np.array_equal(before[k], v), k
+        with pytest.raises(ValueError, match=named):
+            tr.evaluate(net, data)
+
+    def test_teacher_logits_follow_the_network(self, micro_data):
+        """8-class data for a 10-class network takes (n, 10) teacher logits."""
+        data = dt.Dataset(micro_data.x[:64], np.arange(64) % 8, 8)
+        net = nw.build(nw.desk_micro(), seed=0)
+        cfg = tr.TrainConfig(step=1, iterations=2, batch_size=32, kd_weight=0.5,
+                             teacher_logits=np.zeros((64, 8), np.float32))
+        with pytest.raises(ValueError, match=r"teacher logits shape \(64, 8\) does not "
+                           "match 64 images x the network's 10 classes"):
+            tr.train_step(net, data, cfg)
+        cfg = replace(cfg, teacher_logits=np.zeros((64, 10), np.float32))
+        assert len(tr.train_step(net, data, cfg).loss_history) == 2
 
 
 class TestEvaluate:
