@@ -276,6 +276,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
     The GEMM runs on the raw sign values and the scale multiplies the exact
     integer result afterwards, keeping float and bit-packed execution
     bit-identical.
+
+    The graph keeps x, w, the window matrix cols and scale, never a float
+    copy of the signs: the backward re-derives them from w as it is at
+    backward time, as the STE mask qb_grad(w) does.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -289,23 +293,20 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         )
     n = x.data.shape[0]
     cols, oh, ow = im2col(x.data, k, stride, pad, pad_value)
-    w2d = w.data.reshape(c_out, -1)
-    if scale is None:
-        wq = w2d
-    else:
-        wq = qb_forward(w2d) if surrogate else hard_sign(w2d)
-        scale = np.asarray(scale, dtype=w2d.dtype)
-    out = cols @ wq.T
+    signs = qb_forward if surrogate else hard_sign
+    filters = (lambda w2d: w2d) if scale is None else signs  # the GEMM's filter rows
+    out = cols @ filters(w.data.reshape(c_out, -1)).T
     if scale is not None:
-        out = out * scale[None, :]
+        scale = np.asarray(scale, dtype=w.data.dtype)
+        out *= scale  # out's dtype already holds w's, so nothing rounds narrower
     out = out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
-    def bwd(g, x=x, w=w, cols=cols, wq=wq, scale=scale, oh=oh, ow=ow):
+    def bwd(g, x=x, w=w, cols=cols, scale=scale, oh=oh, ow=ow):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, c_out)
         if scale is not None:
             g2 = g2 * scale[None, :]
         if x.requires_grad:
-            grad_cols = g2 @ wq
+            grad_cols = g2 @ filters(w.data.reshape(c_out, -1))
             x.accumulate(col2im(grad_cols, x.data.shape, k, stride, pad, oh, ow))
         if w.requires_grad:
             gw = g2.T @ cols
@@ -350,6 +351,12 @@ def quartile_shift(x: Tensor, offsets) -> Tensor:
     return Tensor(out, parents=(x,), backward=bwd)
 
 
+def _into(ufunc, a, b):
+    """ufunc(a, b) into a's buffer, or a new array where the result is wider
+    than a's dtype (a float64 beta on float32 input)."""
+    return ufunc(a, b, out=a if np.result_type(a, b) == a.dtype else None)
+
+
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
               training: bool) -> Tensor:
     """Per-channel batch norm over NCHW; running stats updated in place."""
@@ -364,8 +371,8 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
     else:
         mu, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mu[None, :, None, None]) * inv_std[None, :, None, None]
-    out = xhat * gamma.data[None, :, None, None] + beta.data[None, :, None, None]
+    xhat = _into(np.multiply, x.data - mu[None, :, None, None], inv_std[None, :, None, None])
+    out = _into(np.add, xhat * gamma.data[None, :, None, None], beta.data[None, :, None, None])
 
     def bwd(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv_std=inv_std,
             training=training):

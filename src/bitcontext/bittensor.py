@@ -238,8 +238,10 @@ def binary_gemm(a: BitTensor, w: BitTensor, scale: np.ndarray) -> np.ndarray:
         a.words.reshape(a.shape[0], -1), w.words.reshape(w.shape[0], -1), a.nbits,
         a.vectors,
     )
-    dots = (a.nbits - 2 * mismatches).astype(scale.dtype)
-    return dots * scale[None, :]
+    mismatches *= -2  # nbits - 2 * mismatches, in place and exact in int32
+    mismatches += a.nbits
+    dots = mismatches.astype(scale.dtype)
+    return np.multiply(dots, scale, out=dots)
 
 
 def im2col(x: np.ndarray, k: int, stride: int, pad: int, pad_value=0):

@@ -134,10 +134,14 @@ def _train_config(cfg, step, train_data, classes) -> tr.TrainConfig:
     scfg = cfg[section]
     teacher = None
     if scfg["kd_logits"]:
+        where = f"teacher logits ({section}.kd_logits)"
         try:
-            teacher = np.load(scfg["kd_logits"])
-        except OSError as e:
-            raise RuntimeFailure(f"teacher logits: {e}") from None
+            teacher = np.load(scfg["kd_logits"])  # a pickle raises ValueError
+        except (OSError, ValueError) as e:
+            raise RuntimeFailure(f"{where}: {e}") from None
+        if not isinstance(teacher, np.ndarray):  # an .npz archive of arrays
+            teacher.close()
+            raise RuntimeFailure(f"{where}: {scfg['kd_logits']} is not one .npy array")
     elif scfg["kd_weight"] > 0.0:
         raise ConfigError(f"{section}.kd_weight = {scfg['kd_weight']} needs "
                           f"{section}.kd_logits")

@@ -281,12 +281,13 @@ def train_step2(net: nw.Network, init: dict | None, data: Dataset,
 
 
 def evaluate(net: nw.Network, data: Dataset, packed: bool = False) -> Metrics:
-    """Deterministic full-set evaluation (top-1/top-5/mean loss)."""
+    """Deterministic full-set evaluation (top-1/top-5/mean loss); top-5
+    ranks the network's classes, whichever labels the set holds."""
     check_classes(data, net.spec.classes)
     n = len(data)
     correct1 = correct5 = 0
     total_loss = 0.0
-    k5 = min(5, data.classes)
+    k5 = min(5, net.spec.classes)
     for lo in range(0, n, EVAL_BATCH):
         xb = data.x[lo:lo + EVAL_BATCH]
         yb = data.y[lo:lo + EVAL_BATCH]

@@ -600,3 +600,103 @@ class TestOps:
     def test_cross_entropy_soft_target_shape_mismatch(self):
         with pytest.raises(ValueError):
             ag.cross_entropy(ag.Tensor(np.zeros((2, 3))), np.full((2, 4), 0.25))
+
+
+def conv2d_retained_reference(x, w, g, stride, pad, surrogate, scale):
+    """Output and input/weight gradients of a binary conv under upstream g,
+    from a sign bank taken once in the forward and reused in the backward."""
+    c_out, _, k, _ = w.shape
+    cols, oh, ow = bt.im2col(x, k, stride, pad)
+    w2d = w.reshape(c_out, -1)
+    wq = ag.qb_forward(w2d) if surrogate else ag.hard_sign(w2d)
+    out = (cols @ wq.T) * scale[None, :]
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, c_out) * scale[None, :]
+    gx = ag.col2im(g2 @ wq, x.shape, k, stride, pad, oh, ow)
+    gw = (g2.T @ cols) * ag.qb_grad(w2d)
+    return out.reshape(x.shape[0], oh, ow, c_out).transpose(0, 3, 1, 2), gx, gw.reshape(w.shape)
+
+
+def batchnorm_reference(x, gamma, beta, mean, var, training):
+    """The out-of-place batch-norm forward: four full-size temporaries."""
+    mu, v = (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if training else (mean, var)
+    inv_std = 1.0 / np.sqrt(v + ag.BN_EPS)
+    xhat = (x - mu[None, :, None, None]) * inv_std[None, :, None, None]
+    return xhat * gamma[None, :, None, None] + beta[None, :, None, None]
+
+
+class TestGraphMemoryAndEpilogues:
+    """A binary conv's graph holds no float copy of its signs, and the
+    in-place forward epilogues equal their out-of-place formulas in value
+    and dtype."""
+
+    def test_binary_conv_graph_holds_no_sign_bank(self, rng):
+        import tracemalloc
+        w = ag.param(rng.standard_normal((512, 512, 3, 3), dtype=np.float32))
+        x = ag.param(rng.standard_normal((1, 512, 2, 2), dtype=np.float32))
+        scale = bt.weight_scale(w.data)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = ag.conv2d(x, w, pad=1, scale=scale)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert y.requires_grad
+        assert retained < w.data.nbytes, (retained, w.data.nbytes)
+
+    @pytest.mark.parametrize("surrogate", [False, True])
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    def test_conv_gradients_equal_retained_sign_reference(self, rng, surrogate, stride, pad):
+        x0 = rng.normal(size=(2, 5, 6, 6))
+        w0 = rng.uniform(-1.3, 1.3, size=(4, 5, 3, 3))  # some outside the STE support
+        scale = bt.weight_scale(w0)
+        x, w = ag.param(x0, np.float64), ag.param(w0, np.float64)
+        y = ag.conv2d(x, w, stride, pad, surrogate=surrogate, scale=scale)
+        g = rng.normal(size=y.shape)
+        ag.Tensor(np.asarray((y.data * g).sum()), parents=(y,),
+                  backward=lambda _, y=y: y.accumulate(g)).backward()
+        out, gx, gw = conv2d_retained_reference(x0, w0, g, stride, pad, surrogate, scale)
+        assert_bit_identical(y.data, out)
+        assert np.array_equal(x.grad, gx) and x.grad.dtype == gx.dtype
+        assert np.array_equal(w.grad, gw) and w.grad.dtype == gw.dtype
+
+    @pytest.mark.parametrize("x_dtype,w_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64),
+        (np.float32, np.float64), (np.float64, np.float32)])
+    def test_conv_scale_epilogue_equals_out_of_place(self, rng, x_dtype, w_dtype):
+        x0 = rng.normal(size=(2, 6, 5, 5)).astype(x_dtype)
+        w0 = rng.normal(size=(7, 6, 3, 3)).astype(w_dtype)
+        scale = bt.weight_scale(w0)
+        y = ag.conv2d(ag.Tensor(x0), ag.Tensor(w0), pad=1, scale=scale)
+        cols, oh, ow = bt.im2col(x0, 3, 1, 1)
+        want = (cols @ ag.hard_sign(w0.reshape(7, -1)).T) * scale[None, :]
+        assert_bit_identical(y.data, want.reshape(2, oh, ow, 7).transpose(0, 3, 1, 2))
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("x_dt,gamma_dt,beta_dt,stat_dt", [
+        (np.float32,) * 4, (np.float64,) * 4,
+        (np.float32, np.float64, np.float64, np.float32),  # float64 gamma and beta
+        (np.float32, np.float32, np.float64, np.float32),  # a rebound float64 beta
+        (np.float32, np.float32, np.float32, np.float64)])  # float64 running statistics
+    def test_batchnorm_epilogue_equals_out_of_place(self, rng, training, x_dt, gamma_dt,
+                                                    beta_dt, stat_dt):
+        x0 = rng.normal(size=(3, 4, 5, 5)).astype(x_dt)
+        gamma = rng.uniform(0.5, 1.5, 4).astype(gamma_dt)
+        beta = rng.normal(size=4).astype(beta_dt)
+        mean, var = rng.normal(size=4).astype(stat_dt), rng.uniform(0.5, 2, 4).astype(stat_dt)
+        want = batchnorm_reference(x0, gamma, beta, mean, var, training)
+        y = ag.batchnorm(ag.Tensor(x0), ag.Tensor(gamma), ag.Tensor(beta),
+                         mean.copy(), var.copy(), training)
+        assert_bit_identical(y.data, want)
+
+    @pytest.mark.parametrize("scale_dtype", [np.float32, np.float64, np.int64])
+    @pytest.mark.parametrize("k", [37, 64, 200])
+    def test_binary_gemm_epilogue_equals_out_of_place(self, rng, scale_dtype, k):
+        a = rng.choice([-1, 1], size=(9, k))
+        w = rng.choice([-1, 1], size=(5, k))
+        scale = rng.uniform(0.1, 3.0, 5).astype(scale_dtype) + 1
+        got = bt.binary_gemm(bt.pack(a), bt.pack(w), scale)
+        mismatches = (k - a @ w.T) // 2
+        f = scale.astype(np.float32) if scale.dtype.kind != "f" else scale
+        want = (k - 2 * mismatches.astype(np.int32)).astype(f.dtype) * f[None, :]
+        assert_bit_identical(got, want)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -613,6 +614,24 @@ class TestReports:
                     "--set", "train.kd_logits=nonexistent.npy",
                     "--set", "train.kd_weight=0.5"]) == 2
         assert "teacher logits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["npz", "pickle"])
+    @pytest.mark.parametrize("section", ["train", "train2"])
+    def test_kd_logits_not_one_array_is_runtime_error(self, workdir, capsys, kind, section):
+        """An .npz archive or a pickle is not one array of teacher logits:
+        exit 2 naming the key, before step 1 trains."""
+        if kind == "npz":
+            np.savez("t.npz", logits=np.zeros((300, 10), np.float32))
+        else:
+            with open("t.pickle", "wb") as f:
+                pickle.dump(np.zeros((300, 10), np.float32), f)
+        assert run(["train", "--config", "run.cfg", "--output", "ck.bin",
+                    "--set", f"{section}.kd_weight=0.5",
+                    "--set", f"{section}.kd_logits=t.{kind}"]) == 2
+        out, err = capsys.readouterr()
+        assert f"error: teacher logits ({section}.kd_logits): " in err
+        assert "Traceback" not in err and "step 1:" not in out
+        assert not os.path.exists("ck.bin")
 
     @pytest.mark.parametrize("verb,extra", [
         ("train", []), ("eval", ["--checkpoint", "ck.bin"]), ("count-ops", []),

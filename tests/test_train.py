@@ -435,6 +435,20 @@ class TestEvaluate:
         assert m.top5 >= m.top1
         assert 0.0 <= m.top1 <= 1.0
 
+    def test_top5_counts_five_of_the_networks_classes(self, micro_data):
+        """A 10-class network scored on a set whose labels stop at 2 still
+        reports top-5: five of its ten logits, not three."""
+        data = dt.Dataset(micro_data.x[:96], np.arange(96) % 3, 3)
+        net = nw.build(nw.desk_micro(), seed=7)
+        logits = net.forward(data.x, training=False).data
+
+        def top(k):
+            hits = np.argpartition(-logits, k - 1, axis=1)[:, :k] == data.y[:, None]
+            return float(hits.any(axis=1).mean())
+
+        assert top(5) != top(3)  # the two readings differ on this set
+        assert tr.evaluate(net, data).top5 == top(5)
+
     def test_majority_class_predictor_scores_class_prior(self, micro_data):
         net = nw.build(nw.desk_micro(), seed=8)
         head = net.layers[-1]
