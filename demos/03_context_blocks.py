@@ -42,10 +42,11 @@ y_packed = blk.infer_packed(x)
 print("MLP block float vs packed, bit-identical:",
       np.array_equal(y_float, y_packed))
 
-# Dynamic contextual embeddings: thresholds and biases from pooled input.
+# Dynamic contextual embeddings: threshold shifts and biases from pooled
+# input; a block binarizes at its own thr plus the shift.
 conv = bk.BinaryConvBlock(16, 16, 3, 1, np.random.default_rng(4), dynamic=True)
 conv.dynamic.w2.data[...] = 0.1  # give the zero-initialized path an effect
-beta = conv.dynamic.thresholds(conv.dynamic.alpha(ag.Tensor(x))).data
+beta = (conv.dynamic.thresholds(conv.dynamic.alpha(ag.Tensor(x))) + conv.thr).data
 print("\nper-sample dynamic thresholds, shape", beta.shape,
       "spread", float(beta.std()))
 print("conv block float vs packed, bit-identical:",

@@ -181,12 +181,13 @@ class StemConv(_Layer, _NormAct):
 
 
 class DynamicEmbedding(_Layer):
-    """Input-conditioned binarization thresholds and output compensation.
+    """Input-conditioned threshold shift and output compensation.
 
     From the globally pooled input: alpha = GAP(x) W1 + b_a (bottleneck
-    width c/4), thresholds beta = alpha W2 + b_b, post-conv bias
-    gamma = alpha W3 + b_g. W2, W3 and every bias start at zero, so a fresh
-    embedding leaves the surrounding block's function untouched.
+    width c/4), a shift alpha W2 of the block's own thresholds thr, and a
+    post-conv bias gamma = alpha W3 + b_g. A dynamic block is its plain
+    block plus this embedding; W2, W3 and every bias start at zero, so a
+    fresh one leaves the plain block's function untouched.
     """
 
     def __init__(self, c_in, c_out, rng, dtype=np.float32):
@@ -197,7 +198,6 @@ class DynamicEmbedding(_Layer):
         self.w1 = self._add_param("w1", _uniform(rng, (c_in, cb), c_in, dtype))
         self.b_alpha = self._add_param("b_alpha", np.zeros(cb, dtype=dtype))
         self.w2 = self._add_param("w2", np.zeros((cb, c_in), dtype=dtype))
-        self.b_beta = self._add_param("b_beta", np.zeros(c_in, dtype=dtype))
         self.w3 = self._add_param("w3", np.zeros((cb, c_out), dtype=dtype))
         self.b_gamma = self._add_param("b_gamma", np.zeros(c_out, dtype=dtype))
 
@@ -205,7 +205,7 @@ class DynamicEmbedding(_Layer):
         return ag.linear(ag.global_avg_pool(x), self.w1, self.b_alpha)
 
     def thresholds(self, alpha: Tensor) -> Tensor:
-        return ag.linear(alpha, self.w2, self.b_beta)
+        return ag.linear(alpha, self.w2)
 
     def gamma(self, alpha: Tensor) -> Tensor:
         return ag.linear(alpha, self.w3, self.b_gamma)
@@ -226,9 +226,9 @@ def _shortcut(x: Tensor, c_in, c_out, stride) -> Tensor:
 class BinaryConvBlock(_Layer, _NormAct):
     """Sign-binarize, binary conv, optional dynamic bias, norm, skip, act.
 
-    Thresholds are a learnable per-channel vector, or per-sample dynamic
-    embeddings when ``dynamic``. Real-weight mode (two-step training, step
-    one) runs the same wiring with full-precision filters and no scale.
+    Thresholds are a learnable per-channel vector thr, shifted per sample by
+    a DynamicEmbedding when ``dynamic``. Real-weight mode (two-step training,
+    step one) runs the same wiring with full-precision filters and no scale.
     """
 
     def __init__(self, c_in, c_out, kernel, stride, rng, dtype=np.float32,
@@ -239,22 +239,20 @@ class BinaryConvBlock(_Layer, _NormAct):
         fan_in = c_in * kernel * kernel
         self.w = self._add_param("w", _uniform(rng, (c_out, c_in, kernel, kernel),
                                                fan_in, dtype))
+        self.thr = self._add_param("thr", np.zeros(c_in, dtype=dtype))
         self.dynamic = None
         if dynamic:
             self.dynamic = DynamicEmbedding(c_in, c_out, rng, dtype)
             for name, p in self.dynamic.params().items():
                 self._params[f"dyn.{name}"] = p
-        else:
-            self.thr = self._add_param("thr", np.zeros(c_in, dtype=dtype))
         self._init_norm_act(c_out, dtype)
 
     def forward(self, x: Tensor, st: ForwardState) -> Tensor:
+        thr, gamma = self.thr, None
         if self.dynamic is not None:
             alpha = self.dynamic.alpha(x)
-            thr = self.dynamic.thresholds(alpha)
+            thr = self.dynamic.thresholds(alpha) + self.thr
             gamma = self.dynamic.gamma(alpha)
-        else:
-            thr, gamma = self.thr, None
         pad = self.kernel // 2
         if st.packed:
             y = Tensor(binary_conv2d(pack(x.data, thr.data), pack_filters(self.w.data),

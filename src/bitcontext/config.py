@@ -19,12 +19,16 @@ class ConfigError(ValueError):
 
 
 def _coerce(section, key, value, kind):
+    """The typed value of section.key; a seed must also be >= 0."""
     try:
-        return _BOOL[value.lower()] if kind is bool else kind(value)
+        typed = _BOOL[value.lower()] if kind is bool else kind(value)
     except (KeyError, ValueError):
         raise ConfigError(
             f"{section}.{key}: cannot parse {value!r} as {kind.__name__}"
         ) from None
+    if key == "seed" and typed < 0:
+        raise ConfigError(f"{section}.{key} must be >= 0, got {typed}")
+    return typed
 
 
 _TRAIN = {"iterations": 500, "batch_size": 64, "lr": 2e-3,

@@ -138,25 +138,31 @@ def split_files(root, split: str) -> list:
 
 
 def load_dir(root, split: str) -> Dataset:
-    """Load a split's IDX pair, or its CIFAR .bin files concatenated."""
+    """Load a split's IDX pair, or its CIFAR .bin files concatenated. A
+    split must hold at least one image and one label per image, as a
+    rank-1 labels array; anything else raises ValueError."""
     files = split_files(root, split)
     if not files:
         raise FileNotFoundError(f"no {split!r} files under {root}")
     if files[0].endswith(".idx"):
-        images = read_idx(files[0])
-        labels = read_idx(files[1]).astype(np.int64)
-        if len(images) != len(labels):
-            raise ValueError(f"{split!r} has {len(images)} images "
-                             f"but {len(labels)} labels")
+        images, labels = read_idx(files[0]), read_idx(files[1])
         if images.ndim == 3:  # (n, h, w) -> single channel
             images = images[:, None, :, :]
-        x = normalize_images(images) if images.dtype == np.uint8 \
-            else images.astype(np.float32)
-        return Dataset(x, labels, int(labels.max()) + 1)
-    parts = [read_cifar_bin(f) for f in files]
-    images = np.concatenate([p[0] for p in parts])
-    labels = np.concatenate([p[1] for p in parts])
-    return Dataset(normalize_images(images), labels, int(labels.max()) + 1)
+    else:
+        parts = [read_cifar_bin(f) for f in files]
+        images = np.concatenate([p[0] for p in parts])
+        labels = np.concatenate([p[1] for p in parts])
+    if labels.ndim != 1:
+        raise ValueError(f"{split!r} labels have shape {labels.shape}; "
+                         "one label per image needs shape (n,)")
+    if len(images) != len(labels):
+        raise ValueError(f"{split!r} has {len(images)} images "
+                         f"but {len(labels)} labels")
+    if not len(labels):
+        raise ValueError(f"{split!r} has no images (images shape {images.shape})")
+    x = normalize_images(images) if images.dtype == np.uint8 \
+        else images.astype(np.float32)
+    return Dataset(x, labels.astype(np.int64), int(labels.max()) + 1)
 
 
 # ---------------------------------------------------------------------------

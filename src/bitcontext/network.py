@@ -328,12 +328,11 @@ class Network:
 
     def _input(self, x: np.ndarray) -> np.ndarray:
         """x checked against the spec's input shape, cast to the network's dtype."""
-        n, c, h, w = x.shape
-        if (h, w) != tuple(self.spec.input_hw) or c != self.spec.in_channels:
-            raise ValueError(
-                f"input {c}x{h}x{w} does not match spec "
-                f"{self.spec.in_channels}x{self.spec.input_hw[0]}x{self.spec.input_hw[1]}"
-            )
+        want = (self.spec.in_channels, *self.spec.input_hw)
+        if x.ndim != 4 or x.shape[1:] != want:
+            got = "x".join(map(str, x.shape[1:])) if x.ndim == 4 else f"of rank {x.ndim}"
+            raise ValueError(f"input {got} does not match spec "
+                             f"{'x'.join(map(str, want))} (an N x C x H x W batch)")
         return np.ascontiguousarray(x, dtype=self.dtype)
 
     def state_arrays(self) -> dict:
@@ -570,7 +569,9 @@ def save(net: Network, path) -> None:
 
 
 def read_checkpoint(path):
-    """Parse a checkpoint file into (spec, metadata, arrays)."""
+    """Parse a checkpoint file into (spec, metadata, arrays), reading the
+    older name of a dynamic block's `thr`, `dyn.b_beta`, as `thr`. A body
+    that does not parse to its last byte raises CheckpointError."""
     try:
         with open(path, "rb") as f:
             blob = f.read()
@@ -597,18 +598,26 @@ def read_checkpoint(path):
     def sized(len_fmt):  # a length-prefixed byte string
         return bytes(take(unpack(len_fmt)[0]))
 
+    def text(len_fmt, what):  # a length-prefixed UTF-8 string
+        try:
+            return sized(len_fmt).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} is not UTF-8") from None
+
     (version,) = unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"{path}: format version {version}, expected {CHECKPOINT_VERSION}"
         )
-    spec_text = sized("<I").decode()
+    spec_text = text("<I", "spec text")
     if hashlib.sha256(spec_text.encode()).digest() != bytes(take(32)):
         raise CheckpointChecksumError(f"{path}: spec hash mismatch")
     meta = _metadata(sized("<I"), path)
     arrays = {}
-    for _ in range(unpack("<I")[0]):
-        name = sized("<H").decode()
+    for i in range(unpack("<I")[0]):
+        name = text("<H", f"tensor {i}'s name").replace(".dyn.b_beta", ".thr")
+        if name in arrays:
+            raise CheckpointError(f"{path}: tensor {name} is listed twice")
         code, ndim = unpack("<BB")
         shape = unpack(f"<{ndim}I")
         (nbytes,) = unpack("<Q")
@@ -621,6 +630,8 @@ def read_checkpoint(path):
                 f"{path}: tensor {name} holds {nbytes} bytes, shape {shape} needs {need}")
         arr = np.frombuffer(take(nbytes), dtype=dtype.newbyteorder("<"))
         arrays[name] = arr.reshape(shape).astype(dtype)
+    if off != len(body):
+        raise CheckpointError(f"{path}: {len(body) - off} bytes follow the last tensor")
     return parse_network_spec(spec_text), meta, arrays
 
 
@@ -640,19 +651,15 @@ def load(path) -> Network:
 
 def load_into(net: Network, path) -> Network:
     """Load checkpoint tensors into an existing network, which may extend
-    the checkpoint's plain one with dynamic embeddings: absent `dyn.*`
-    parameters, inert as built (W2 = W3 = 0), keep their values, and a plain
-    layer's `thr` seeds the `dyn.b_beta` that replaces it, so the network
-    computes what the checkpoint did. Otherwise the specs may differ only in name."""
+    the checkpoint's plain one with dynamic embeddings: a dynamic block is
+    its plain block plus an embedding, so absent `dyn.*` parameters, inert
+    as built (W2 = W3 = 0), keep their values and the network computes what
+    the checkpoint did. Older checkpoints' `dyn.b_beta` loads as `thr` (see
+    read_checkpoint). Otherwise the specs may differ only in name."""
     spec, meta, arrays = read_checkpoint(path)
-    own = net.state_arrays()
-    for name in [k for k in arrays if k.endswith(".thr") and k not in own]:
-        beta = name[:-len("thr")] + "dyn.b_beta"
-        if beta in own and beta not in arrays:
-            arrays[beta] = arrays.pop(name)
-    for name in own:
+    for name, own in net.state_arrays().items():
         if ".dyn." in name:
-            arrays.setdefault(name, own[name])
+            arrays.setdefault(name, own)
     net._placed(arrays)  # names and shapes first, then the architecture
     _check_architecture(spec, net.spec, path)
     net.load_state_arrays(arrays)

@@ -2,10 +2,11 @@
 replacement sweep.
 
 Step one trains full-precision shadow weights under binarized activations;
-step two binarizes the weights as well (zero weight decay, per the training
-recipe). Both run as train_step on one network, so step two starts from
-exactly what step one left. All randomness flows from the config seed
-through one generator.
+step two binarizes the weights as well. The training recipe runs step two
+with zero weight decay; that zero is the CLI's [train2] default, while
+TrainConfig(step=2) keeps the 1e-5 default of every step. Both run as
+train_step on one network, so step two starts from exactly what step one
+left. All randomness flows from the config seed through one generator.
 """
 
 from __future__ import annotations

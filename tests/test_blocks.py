@@ -262,19 +262,20 @@ class TestDynamicEmbedding:
         alpha = rng.normal(size=(3, 2)).astype(np.float32)
         assert np.all(d.thresholds(ag.Tensor(alpha)).data == 0.0)
 
-    def test_uniform_bias_threshold(self, rng):
+    def test_uniform_bias_threshold(self):
+        """The embedding holds no static threshold (the block's thr is it):
+        a uniform alpha W2 comes out as the shift, with no bias added."""
         d = self._params()
-        d.b_beta.data[...] = 0.25
-        alpha = rng.normal(size=(3, 2)).astype(np.float32)
+        assert sorted(d.params()) == ["b_alpha", "b_gamma", "w1", "w2", "w3"]
+        d.w2.data[...] = 0.125
+        alpha = np.ones((3, 2), dtype=np.float32)
         assert np.all(d.thresholds(ag.Tensor(alpha)).data == 0.25)
 
     def test_threshold_matmul_oracle(self, rng):
         d = self._params()
         d.w2.data[...] = rng.normal(size=d.w2.data.shape).astype(np.float32)
-        d.b_beta.data[...] = rng.normal(size=8).astype(np.float32)
         alpha = rng.normal(size=(4, 2)).astype(np.float32)
-        ref = alpha @ d.w2.data + d.b_beta.data
-        assert np.allclose(d.thresholds(ag.Tensor(alpha)).data, ref, rtol=1e-6)
+        assert np.array_equal(d.thresholds(ag.Tensor(alpha)).data, alpha @ d.w2.data)
 
     def test_gamma_zero_init_and_uniform_bias(self, rng):
         d = self._params(c_out=12)
@@ -298,13 +299,15 @@ class TestDynamicEmbedding:
 
 class TestBinaryConvBlock:
     def test_zero_init_dynamic_equals_plain(self, rng):
+        """A dynamic block is its plain block plus an embedding: with W2 = 0
+        it computes the plain block, a nonzero thr included, on both routes."""
         rng0 = np.random.default_rng(0)
         plain = bk.BinaryConvBlock(8, 8, 3, 1, rng0)
+        plain.thr.data[...] = rng.normal(scale=0.5, size=8)
         dyn = bk.BinaryConvBlock(8, 8, 3, 1, np.random.default_rng(1),
                                  dynamic=True)
-        for name in ("w", "bn_gamma", "bn_beta", "act_shift_in", "act_slope",
-                     "act_shift_out"):
-            dyn.params()[name].data[...] = plain.params()[name].data
+        for name, p in plain.params().items():
+            dyn.params()[name].data[...] = p.data
         x = rng.normal(size=(2, 8, 6, 6)).astype(np.float32)
         a = plain.forward(ag.Tensor(x), _mk_state()).data
         b = dyn.forward(ag.Tensor(x), _mk_state()).data

@@ -2,6 +2,8 @@ import itertools
 import json
 import os
 import pickle
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -233,6 +235,17 @@ class TestErrors:
         assert err.startswith(f"error: ck.bin: {match}")
         assert "Traceback" not in err and out == ""
 
+    def test_checkpoint_text_not_utf8_is_runtime_error(self, workdir, capsys):
+        """A body that gets past the CRC but not the parser names the file
+        and the field, with no traceback."""
+        nw.save(nw.build(nw.desk_micro(), seed=0), "ck.bin")
+        body = bytearray(open("ck.bin", "rb").read()[:-4])
+        body[12] = 0xFF  # the first byte of the spec text
+        open("ck.bin", "wb").write(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        assert run(["eval", "--checkpoint", "ck.bin", "--config", "run.cfg"]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: ck.bin: spec text is not UTF-8\n" and out == ""
+
     def test_corrupt_checkpoint_is_runtime_error(self, workdir, capsys):
         run(["train", "--config", "run.cfg", "--output", "ck.bin"])
         blob = bytearray(open("ck.bin", "rb").read())
@@ -265,7 +278,8 @@ class TestErrors:
 
     @pytest.mark.parametrize("labels,match", [
         (b"\x00\x00", "header needs 4 bytes"),
-        (np.zeros(4, np.uint8), "10 images but 4 labels")])
+        (np.zeros(4, np.uint8), "10 images but 4 labels"),
+        (np.zeros((10, 10), np.uint8), "'train' labels have shape (10, 10)")])
     def test_bad_idx_dataset_is_runtime_error(self, tmp_path, monkeypatch,
                                               capsys, labels, match):
         monkeypatch.chdir(tmp_path)
@@ -279,6 +293,25 @@ class TestErrors:
                     "--set", "network.preset=desk-micro"]) == 2
         err = capsys.readouterr().err
         assert "dataset: " in err and match in err
+
+    def test_empty_dataset_split_is_runtime_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("data")
+        open("data/train.bin", "wb").close()
+        assert run(["train", "--output", "ck.bin", "--set", "data.root=data"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset: 'train' has no images "
+                              "(images shape (0, 3, 32, 32))")
+        assert not os.path.exists("ck.bin")
+
+    @pytest.mark.parametrize("key", ["run.seed", "data.seed"])
+    def test_negative_seed_is_usage_error(self, workdir, capsys, key):
+        """Named by its key and raised before any data is built or step trains."""
+        assert run(["train", "--config", "run.cfg", "--output", "ck.bin",
+                    "--set", f"{key}=-3"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"error: {key} must be >= 0, got -3")
+        assert out == "" and not os.path.exists("ck.bin")
 
     @pytest.mark.parametrize("sets,key", [
         (["network.preset=desk-sweep", "network.dynamic=true"], "network.dynamic"),

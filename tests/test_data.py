@@ -123,6 +123,25 @@ class TestLoadDir:
         with pytest.raises(ValueError, match="10 images but 4 labels"):
             dt.load_dir(tmp_path, "train")
 
+    def test_idx_labels_of_another_rank_rejected(self, tmp_path):
+        """A (n, 10) labels file is not one label per image; cross_entropy
+        would read it as soft targets."""
+        dt.write_idx(tmp_path / "train-images.idx", np.zeros((10, 4, 4), np.uint8))
+        dt.write_idx(tmp_path / "train-labels.idx", np.zeros((10, 10), np.uint8))
+        with pytest.raises(ValueError, match=r"'train' labels have shape \(10, 10\)"):
+            dt.load_dir(tmp_path, "train")
+
+    @pytest.mark.parametrize("fmt,shape", [("idx", r"\(0, 1, 4, 4\)"),
+                                           ("cifar", r"\(0, 3, 32, 32\)")])
+    def test_empty_split_rejected(self, tmp_path, fmt, shape):
+        if fmt == "idx":
+            dt.write_idx(tmp_path / "train-images.idx", np.zeros((0, 4, 4), np.uint8))
+            dt.write_idx(tmp_path / "train-labels.idx", np.zeros(0, np.uint8))
+        else:
+            (tmp_path / "train.bin").write_bytes(b"")
+        with pytest.raises(ValueError, match=f"'train' has no images \\(images shape {shape}"):
+            dt.load_dir(tmp_path, "train")
+
     def test_missing_split(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             dt.load_dir(tmp_path, "train")

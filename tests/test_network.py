@@ -584,6 +584,10 @@ class TestPersistence:
         for forward in (lambda a: net.forward(a), net.forward_packed):
             with pytest.raises(ValueError, match="input 1x8x8 does not match spec 1x16x16"):
                 forward(np.zeros((1, 1, 8, 8)))
+            for shape in ((1, 16, 16), (1, 1, 1, 16, 16)):
+                with pytest.raises(ValueError, match=f"input of rank {len(shape)} does "
+                                                     "not match spec 1x16x16"):
+                    forward(np.zeros(shape))
 
     def test_float64_roundtrip_keeps_dtype_and_logits(self, tmp_path, rng):
         """load builds the network in the checkpoint's own dtype."""
@@ -658,6 +662,32 @@ class TestPersistence:
     def test_body_shorter_than_headers_claim_rejected(self, tmp_path):
         with pytest.raises(nw.CheckpointError, match="headers claim"):
             nw.load(self._resealed(tmp_path, lambda body, _: body[:-100]))
+
+    def test_bytes_after_the_last_tensor_rejected(self, tmp_path):
+        with pytest.raises(nw.CheckpointError, match="net.ckpt: 8 bytes follow the last"):
+            nw.load(self._resealed(tmp_path, lambda body, _: body + bytes(8)))
+
+    def test_tensor_listed_twice_rejected(self, tmp_path):
+        def edit(body, first):  # repeat the first tensor record, count + 1
+            start = body.index(first.encode()) - 2
+            ndim = body[start + 2 + len(first) + 1]
+            at = start + 2 + len(first) + 2 + 4 * ndim
+            end = at + 8 + struct.unpack_from("<Q", body, at)[0]
+            count = struct.unpack_from("<I", body, start - 4)[0]
+            struct.pack_into("<I", body, start - 4, count + 1)
+            return body[:end] + body[start:end] + body[end:]
+        with pytest.raises(nw.CheckpointError,
+                           match="net.ckpt: tensor b.L00.running_mean is listed twice"):
+            nw.load(self._resealed(tmp_path, edit))
+
+    @pytest.mark.parametrize("field,match", [("spec", "spec text"),
+                                             ("name", "tensor 0's name")])
+    def test_text_that_is_not_utf8_rejected(self, tmp_path, field, match):
+        def edit(body, first):
+            body[12 if field == "spec" else body.index(first.encode())] = 0xFF
+            return body
+        with pytest.raises(nw.CheckpointError, match=f"net.ckpt: {match} is not UTF-8"):
+            nw.load(self._resealed(tmp_path, edit))
 
     def test_failed_save_leaves_previous_checkpoint(self, tmp_path, monkeypatch, rng):
         net = nw.build(nw.desk_micro(), seed=2)
@@ -739,20 +769,19 @@ class TestPersistence:
         assert np.array_equal(dyn.forward(x).data, plain.forward(x).data)
 
     def test_missing_tensor_strict_failure(self, tmp_path):
-        """load_state_arrays is strict: a plain state's thresholds have no
-        place in a dynamic network (only load_into extends plain to dynamic),
-        and without them its embeddings are missing."""
-        plain = nw.build(nw.desk_tiny(), seed=3).state_arrays()
+        """load_state_arrays is strict: a plain state lacks a dynamic
+        network's embeddings (only load_into extends plain to dynamic), and
+        a dynamic state's embeddings have no place in a plain network."""
+        plain = nw.build(nw.desk_tiny(), seed=3)
         dyn = nw.build(nw.desk_tiny(dynamic=True), seed=77)
-        with pytest.raises(nw.CheckpointError, match="network has no tensor p.L01.thr"):
-            dyn.load_state_arrays(plain)
-        thr = [k for k in plain if k.endswith(".thr") and k not in dyn.state_arrays()]
         with pytest.raises(nw.CheckpointError, match="missing tensor p.L01.dyn"):
-            dyn.load_state_arrays({k: v for k, v in plain.items() if k not in thr})
+            dyn.load_state_arrays(plain.state_arrays())
+        with pytest.raises(nw.CheckpointError, match="network has no tensor p.L01.dyn"):
+            plain.load_state_arrays(dyn.state_arrays())
 
     def test_load_into_dynamic_variant_seeds_thresholds(self, tmp_path, rng):
-        """A plain layer's trained thr becomes the dynamic layer's b_beta, so
-        the fine-tune starts from the checkpoint's function."""
+        """A plain layer's trained thr is the dynamic layer's thr, so the
+        fine-tune starts from the checkpoint's function."""
         plain = nw.build(nw.desk_tiny(), seed=3)
         for name, p in plain.params().items():
             if name.endswith(".thr"):
@@ -764,6 +793,39 @@ class TestPersistence:
         x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
         assert np.array_equal(dyn.forward(x).data, plain.forward(x).data)
         assert np.array_equal(dyn.forward_packed(x), plain.forward_packed(x))
+
+    def test_checkpoint_naming_thr_dyn_b_beta_loads(self, tmp_path, rng, monkeypatch):
+        """Older checkpoints name a dynamic block's thr dyn.b_beta; load and
+        load_into read it as thr and reproduce the saved logits."""
+        net = nw.build(nw.desk_tiny(dynamic=True), seed=3)
+        for v in net.state_arrays().values():
+            v[...] = rng.normal(scale=0.3, size=v.shape)
+        for k, v in net.buffers().items():
+            if k.endswith("running_var"):
+                v[...] = np.abs(v) + 0.5
+        old = {k.replace(".thr", ".dyn.b_beta") if net.spec.layers[int(k[3:5])].dynamic
+               else k: v for k, v in net.state_arrays().items()}
+        assert sum(k.endswith(".dyn.b_beta") for k in old) == 4
+        p = tmp_path / "old.ckpt"
+        with monkeypatch.context() as m:
+            m.setattr(net, "state_arrays", lambda: old)
+            nw.save(net, p)
+        x = rng.normal(size=(2, 3, 32, 32)).astype(np.float32)
+        want = net.forward(x).data
+        for got in (nw.load(p), nw.load_into(nw.build(net.spec, seed=8), p)):
+            assert np.array_equal(got.forward(x).data, want)
+            assert np.array_equal(got.forward_packed(x), want)
+
+    def test_checkpoint_with_thr_under_both_names_rejected(self, tmp_path, monkeypatch):
+        """dyn.b_beta reads as thr, so a file holding both holds thr twice."""
+        net = nw.build(nw.desk_tiny(dynamic=True), seed=3)
+        arrays = net.state_arrays()
+        arrays["p.L01.dyn.b_beta"] = arrays["p.L01.thr"]
+        monkeypatch.setattr(net, "state_arrays", lambda: arrays)
+        p = tmp_path / "both.ckpt"
+        nw.save(net, p)
+        with pytest.raises(nw.CheckpointError, match="tensor p.L01.thr is listed twice"):
+            nw.read_checkpoint(p)
 
     def test_load_into_plain_from_dynamic_rejected(self, tmp_path):
         dyn = nw.build(nw.desk_tiny(dynamic=True), seed=3)
