@@ -45,7 +45,7 @@ def _load_cfg(args) -> dict:
 def _network_spec(cfg) -> nw.NetworkSpec:
     """The [network] spec_file's network, else the preset's, called with the
     [network] keys its function takes. A key set away from its default that
-    neither reads is a ConfigError."""
+    neither reads, or a preset those keys make invalid, is a ConfigError."""
     ncfg = cfg["network"]
     name = ncfg["preset"]
     if ncfg["spec_file"]:
@@ -67,11 +67,12 @@ def _network_spec(cfg) -> nw.NetworkSpec:
             raise RuntimeFailure(f"cannot read spec file: {e}") from None
     kwargs = {k: v for k, v in ncfg.items() if k in takes and k != "preset"}
     if "branches" in kwargs:
-        kwargs["branches"] = tuple(b.strip() for b in kwargs["branches"].split(","))
+        kwargs["branches"] = nw.parse_branches(kwargs["branches"])
     try:
         return nw.preset(name, **kwargs)
-    except nw.ReplacementError as e:  # n_mlp is the only configured replacement count
-        raise ConfigError(f"network.n_mlp: {e}") from None
+    except nw.SpecError as e:  # the preset is valid at its defaults
+        keys = [f"network.{k}" for k in kwargs if ncfg[k] != DEFAULTS["network"][k]]
+        raise ConfigError(f"{', '.join(keys)}: {e}") from None
 
 
 # Synthetic dataset name -> (image size, channels).

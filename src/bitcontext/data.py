@@ -140,7 +140,8 @@ def split_files(root, split: str) -> list:
 def load_dir(root, split: str) -> Dataset:
     """Load a split's IDX pair, or its CIFAR .bin files concatenated. A
     split must hold at least one image and one label per image, as a
-    rank-1 labels array; anything else raises ValueError."""
+    rank-1 labels array of whole numbers from 0 to 2**63 - 1 (int64);
+    anything else raises ValueError."""
     files = split_files(root, split)
     if not files:
         raise FileNotFoundError(f"no {split!r} files under {root}")
@@ -160,6 +161,10 @@ def load_dir(root, split: str) -> Dataset:
                          f"but {len(labels)} labels")
     if not len(labels):
         raise ValueError(f"{split!r} has no images (images shape {images.shape})")
+    bad = ~((labels >= 0) & (labels < 2 ** 63) & (labels == np.round(labels)))
+    if bad.any():  # NaN fails every comparison
+        raise ValueError(f"{split!r} label {labels[bad][0]} at index {bad.argmax()} "
+                         "is not a non-negative whole number below 2**63")
     x = normalize_images(images) if images.dtype == np.uint8 \
         else images.astype(np.float32)
     return Dataset(x, labels.astype(np.int64), int(labels.max()) + 1)

@@ -17,7 +17,7 @@ import json
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,17 +26,24 @@ from .blocks import (BRANCH_KINDS, BinaryConvBlock, BinaryMlpBlock, Classifier,
                      ForwardState, StemConv)
 from .config import iter_ini
 
-LAYER_KINDS = ("stem-conv", "binary-conv-3x3", "binary-conv-1x1", "binary-mlp",
-               "downsample", "classifier")
-# Each binary-conv kind and its kernel; these kinds alone take dynamic thresholds.
+# Each binary-conv kind and its kernel.
 BINARY_CONV_KERNELS = {"binary-conv-3x3": 3, "binary-conv-1x1": 1, "downsample": 3}
+# Each layer kind and the LayerSpec keys it takes besides kind and out; every
+# other key keeps its default. The spec reader, validate and to_text read it.
+KIND_KEYS = {"stem-conv": ("stride", "kernel", "pool"),
+             **dict.fromkeys(BINARY_CONV_KERNELS, ("stride", "dynamic")),
+             "binary-mlp": ("stride", "branches"), "classifier": ()}
+# Each binary kind's stride and its output widths, as multiples of c_in.
+BINARY_SHAPES = {"binary-conv-3x3": (1, (1,)), "binary-conv-1x1": (1, (1, 2)),
+                 "downsample": (2, (1, 2)), "binary-mlp": (1, (1,))}
 
 CHECKPOINT_MAGIC = b"BCTX"
 CHECKPOINT_VERSION = 1
 
 
 class SpecError(ValueError):
-    """Invalid or inconsistent network specification."""
+    """Invalid or inconsistent network specification, at layer index `layer`."""
+    layer = None  # set by NetworkSpec.validate
 
 
 class ReplacementError(SpecError):
@@ -67,49 +74,29 @@ class LayerSpec:
     pool: bool = False
 
     def validate(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in KIND_KEYS:
             raise SpecError(f"unknown layer kind {self.kind!r}")
         if min(self.c_out, self.stride, self.kernel) < 1:
             raise SpecError(f"{self.kind} needs positive out, stride and kernel")
-        if self.pool and self.kind != "stem-conv":
-            raise SpecError(f"{self.kind} cannot pool; only the stem-conv pools")
-        if self.dynamic and self.kind not in BINARY_CONV_KERNELS:
-            raise SpecError(f"{self.kind} has no dynamic thresholds; only "
-                            f"{', '.join(BINARY_CONV_KERNELS)} take dynamic = true")
-        if self.kind != "binary-mlp" and self.branches != BRANCH_KINDS:
-            raise SpecError(f"{self.kind} has no branches; only binary-mlp sets them")
-        if self.kind != "stem-conv" and self.kernel != 3:
-            raise SpecError(f"{self.kind} has no kernel; only stem-conv sets it")
-        if self.kind == "classifier" and self.stride != 1:
-            raise SpecError(f"classifier has no stride, got {self.stride}")
+        for key, default in _LAYER_DEFAULTS.items():
+            if key not in KIND_KEYS[self.kind] and getattr(self, key) != default:
+                raise SpecError(_takes_no(self.kind, key))
         if self.kind == "stem-conv" and self.kernel % 2 == 0:
             raise SpecError(f"stem-conv kernel must be odd, got {self.kernel}")
-        if self.kind == "binary-mlp":
-            if self.c_in != self.c_out or self.stride != 1:
-                raise SpecError("binary-mlp is stride 1 and must preserve channels")
-            if len(self.branches) != 3 or any(b not in BRANCH_KINDS
-                                              for b in self.branches):
-                raise SpecError(f"bad branch assignment {self.branches!r}")
+        if self.kind in BINARY_SHAPES:
+            stride, widths = BINARY_SHAPES[self.kind]
+            outs = [m * self.c_in for m in widths]
+            if self.stride != stride or self.c_out not in outs:
+                raise SpecError(f"{self.kind} takes stride {stride} and out in {outs}; "
+                                f"got stride {self.stride}, {self.c_in} -> {self.c_out}")
+        if self.kind == "binary-mlp" and (len(self.branches) != 3 or any(
+                b not in BRANCH_KINDS for b in self.branches)):
+            raise SpecError(f"bad branch assignment {self.branches!r}")
         # The MLP block's token shifts and the dynamic embedding's bottleneck
         # both split the input channels in quarters.
         if (self.kind == "binary-mlp" or self.dynamic) and self.c_in % 4 != 0:
             kind = f"dynamic {self.kind}" if self.dynamic else self.kind
             raise SpecError(f"{kind} needs channels divisible by 4, got {self.c_in}")
-        if self.kind == "binary-conv-3x3" and (self.stride != 1
-                                               or self.c_in != self.c_out):
-            raise SpecError("binary-conv-3x3 is stride 1 and channel preserving; "
-                            "use 'downsample' for strided blocks; got stride "
-                            f"{self.stride}, {self.c_in} -> {self.c_out}")
-        if self.kind == "binary-conv-1x1" and self.stride != 1:
-            raise SpecError(f"binary-conv-1x1 is stride 1, got {self.stride}")
-        if self.kind == "downsample" and self.stride != 2:
-            raise SpecError(f"downsample blocks use stride 2, got {self.stride}")
-        if self.kind in ("binary-conv-1x1", "downsample") \
-                and self.c_out not in (self.c_in, 2 * self.c_in):
-            raise SpecError(
-                f"{self.kind} supports c_out in {{c_in, 2*c_in}}, "
-                f"got {self.c_in} -> {self.c_out}"
-            )
 
     @property
     def divisor(self) -> int:
@@ -137,33 +124,42 @@ class NetworkSpec:
         if min(h, w, self.in_channels, self.classes) < 1:
             raise SpecError(f"input {h}x{w}, in_channels {self.in_channels} and "
                             f"classes {self.classes} must be positive")
+        # The name is written as one `name = ...` line of to_text.
+        if "#" in self.name or self.name != self.name.strip() \
+                or len(self.name.splitlines()) > 1:
+            raise SpecError(f"name {self.name!r} holds '#' or a line break, or "
+                            "surrounding whitespace, so a spec file cannot hold it")
         if not self.layers:
             raise SpecError(f"{self.name}: empty layer list")
-        if self.layers[0].kind != "stem-conv":
-            raise SpecError("first layer must be the full-precision stem, "
-                            f"got {self.layers[0].kind}")
-        if self.layers[-1].kind != "classifier":
-            raise SpecError("last layer must be the full-precision classifier, "
-                            f"got {self.layers[-1].kind}")
+        last = len(self.layers) - 1
         c = self.in_channels
         for i, ls in enumerate(self.layers):
-            ls.validate()
-            if ls.c_in != c:
-                raise SpecError(
-                    f"layer {i} ({ls.kind}) expects {ls.c_in} channels, chain has {c}"
-                )
-            if ls.kind == "binary-mlp" and (h < 2 or w < 2):
-                raise SpecError(f"binary-mlp at layer {i} needs h,w >= 2, got {h}x{w}")
-            if ls.kind == "classifier":
-                if i != len(self.layers) - 1:
-                    raise SpecError(f"classifier at layer {i} must be last")
-                if ls.c_out != self.classes:
-                    raise SpecError(f"classifier out = {ls.c_out} is not "
-                                    f"classes = {self.classes}")
-                continue
-            if h % ls.divisor or w % ls.divisor:
-                raise SpecError(f"layer {i} downsamples {h}x{w} "
-                                f"not divisible by {ls.divisor}")
+            try:
+                if i == 0 and ls.kind != "stem-conv":
+                    raise SpecError("first layer must be the full-precision stem, "
+                                    f"got {ls.kind}")
+                if i == last and ls.kind != "classifier":
+                    raise SpecError("last layer must be the full-precision "
+                                    f"classifier, got {ls.kind}")
+                ls.validate()
+                if ls.c_in != c:
+                    raise SpecError(f"layer {i} ({ls.kind}) expects {ls.c_in} "
+                                    f"channels, chain has {c}")
+                if ls.kind == "binary-mlp" and (h < 2 or w < 2):
+                    raise SpecError(f"binary-mlp at layer {i} needs h,w >= 2, got {h}x{w}")
+                if ls.kind == "classifier":
+                    if i != last:
+                        raise SpecError(f"classifier at layer {i} must be last")
+                    if ls.c_out != self.classes:
+                        raise SpecError(f"classifier out = {ls.c_out} is not "
+                                        f"classes = {self.classes}")
+                    continue
+                if h % ls.divisor or w % ls.divisor:
+                    raise SpecError(f"layer {i} downsamples {h}x{w} "
+                                    f"not divisible by {ls.divisor}")
+            except SpecError as e:
+                e.layer = i
+                raise
             h, w = ls.out_hw(h, w)
             c = ls.c_out
         return self
@@ -176,21 +172,24 @@ class NetworkSpec:
                  f"in_channels = {self.in_channels}",
                  f"classes = {self.classes}", ""]
         for ls in self.layers:
-            lines.append("[layer]")
-            lines.append(f"kind = {ls.kind}")
-            lines.append(f"out = {ls.c_out}")
-            if ls.kind != "classifier":
-                lines.append(f"stride = {ls.stride}")
-            if ls.kind == "stem-conv":
-                lines.append(f"kernel = {ls.kernel}")
-                if ls.pool:
-                    lines.append("pool = true")
-            if ls.dynamic:
-                lines.append("dynamic = true")
-            if ls.branches != BRANCH_KINDS:
-                lines.append(f"branches = {','.join(ls.branches)}")
+            lines += ["[layer]", f"kind = {ls.kind}", f"out = {ls.c_out}"]
+            # stride and kernel are always written; a flag or branches when set
+            for key in KIND_KEYS[ls.kind]:
+                value = getattr(ls, key)
+                if key in ("stride", "kernel") or value != _LAYER_DEFAULTS[key]:
+                    lines.append(f"{key} = " + (",".join(value) if key == "branches"
+                                                else str(value).lower()))
             lines.append("")
         return "\n".join(lines)
+
+
+# The LayerSpec keys that have a default: all but kind, c_in and c_out.
+_LAYER_DEFAULTS = {f.name: f.default for f in fields(LayerSpec) if f.default is not MISSING}
+
+
+def _takes_no(kind: str, key: str) -> str:
+    takers = [k for k, keys in KIND_KEYS.items() if key in keys]
+    return f"{kind} takes no {key!r}; only {', '.join(takers)} take it"
 
 
 def _positive(v: str) -> int:
@@ -211,24 +210,29 @@ def _flag(v: str) -> bool:
     return v.lower() == "true"
 
 
+def parse_branches(v: str) -> tuple:
+    """A comma list of branch kinds, as a binary-mlp's branches."""
+    return tuple(b.strip() for b in v.split(","))
+
+
 # Each section's keys and the parser of each key's value.
 _SECTION_KEYS = {
     "network": {"name": str, "input": _hxw, "in_channels": _positive,
                 "classes": _positive},
     "layer": {"kind": str, "out": _positive, "stride": _positive,
-              "kernel": _positive, "dynamic": _flag, "branches": str,
+              "kernel": _positive, "dynamic": _flag, "branches": parse_branches,
               "pool": _flag},
 }
 _EXPECTED = {_positive: "a positive integer", _hxw: "HxW of positive integers",
              _flag: "true or false"}
 # A classifier's width comes from [network] classes, so it needs no "out".
 _REQUIRED_KEYS = {"network": ("input", "classes"), "layer": ("kind", "out")}
-# Layer keys that only the listed kinds take; on any other kind they are an error.
-_KIND_ONLY_KEYS = {"kernel": ("stem-conv",), "branches": ("binary-mlp",)}
 
 
 def parse_network_spec(text: str) -> NetworkSpec:
-    """Parse the plain-text key-value spec format emitted by to_text()."""
+    """Parse the plain-text key-value spec format emitted by to_text(). A
+    [layer] key that its kind does not take (KIND_KEYS) is rejected even at
+    its default; every error names its line."""
     sections = []
     for ln, name, key, val in iter_ini(text, SpecError, _SECTION_KEYS, ("layer",)):
         if key is None:
@@ -241,43 +245,31 @@ def parse_network_spec(text: str) -> NetworkSpec:
                 raise SpecError(f"line {ln}: {key} = {val!r} is not "
                                 f"{_EXPECTED[kind]}") from None
     net = None
-    layers = []
+    layers = []  # ([layer] line, keys) per layer
     for ln, name, sec in sections:
         for key in _REQUIRED_KEYS[name]:
             if key not in sec and not (key == "out" and sec.get("kind") == "classifier"):
                 raise SpecError(f"line {ln}: [{name}] lacks required key {key!r}")
         if name == "network":
-            net = NetworkSpec(name=sec.get("name", "unnamed"), input_hw=sec["input"],
-                              classes=sec["classes"],
-                              in_channels=sec.get("in_channels", 3))
+            net_ln, net = ln, NetworkSpec(sec.pop("name", "unnamed"), sec.pop("input"), **sec)
         else:
             layers.append((ln, sec))
     if net is None:
-        raise SpecError("missing [network] section")
+        raise SpecError("line 1: missing [network] section")
     c = net.in_channels
     for ln, sec in layers:
-        kind = sec["kind"]
-        for key, kinds in _KIND_ONLY_KEYS.items():
-            if key in sec and kind not in kinds:
-                raise SpecError(f"line {ln}: {kind} takes no {key!r}; "
-                                f"only {', '.join(kinds)} sets it")
-        c_out = sec.get("out", net.classes)  # only a classifier may omit out
-        ls = LayerSpec(kind=kind, c_in=c, c_out=c_out, stride=sec.get("stride", 1),
-                       kernel=sec.get("kernel", 3), dynamic=sec.get("dynamic", False),
-                       pool=sec.get("pool", False))
-        if "branches" in sec:
-            ls.branches = tuple(b.strip() for b in sec["branches"].split(","))
-        try:
-            ls.validate()
-            if kind == "classifier" and c_out != net.classes:
-                raise SpecError(f"classifier out = {c_out} is not "
-                                f"classes = {net.classes}")
-        except SpecError as e:
-            raise SpecError(f"line {ln}: {e}") from None
+        kind = sec.pop("kind")
+        for key in sec:  # an unknown kind is left to validate to name
+            if key != "out" and key not in KIND_KEYS.get(kind, sec):
+                raise SpecError(f"line {ln}: {_takes_no(kind, key)}")
+        ls = LayerSpec(kind, c, sec.pop("out", net.classes), **sec)
         net.layers.append(ls)
-        if kind != "classifier":
-            c = ls.c_out
-    return net.validate()
+        c = ls.c_out  # validate stops at a classifier that is not last
+    try:
+        return net.validate()
+    except SpecError as e:
+        ln = net_ln if e.layer is None else layers[e.layer][0]
+        raise SpecError(f"line {ln}: {e}") from None
 
 
 class Network:

@@ -264,9 +264,9 @@ class TestErrors:
         assert f"lacks required key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,key,message", [
-        ("binary-mlp", "dynamic = true", "binary-mlp has no dynamic thresholds"),
+        ("binary-mlp", "dynamic = true", "binary-mlp takes no 'dynamic'"),
         ("downsample", "branches = long,long,long", "downsample takes no 'branches'"),
-        ("classifier", "stride = 2", "classifier has no stride")])
+        ("classifier", "stride = 2", "classifier takes no 'stride'")])
     def test_spec_file_key_the_layer_ignores_is_runtime_error(
             self, tmp_path, monkeypatch, capsys, kind, key, message):
         monkeypatch.chdir(tmp_path)
@@ -279,7 +279,10 @@ class TestErrors:
     @pytest.mark.parametrize("labels,match", [
         (b"\x00\x00", "header needs 4 bytes"),
         (np.zeros(4, np.uint8), "10 images but 4 labels"),
-        (np.zeros((10, 10), np.uint8), "'train' labels have shape (10, 10)")])
+        (np.zeros((10, 10), np.uint8), "'train' labels have shape (10, 10)"),
+        (np.r_[0, 0.5, np.zeros(8)].astype(np.float32),
+         "'train' label 0.5 at index 1 is not a non-negative whole number below 2**63"),
+        (np.r_[np.zeros(9), np.nan].astype(np.float32), "'train' label nan at index 9")])
     def test_bad_idx_dataset_is_runtime_error(self, tmp_path, monkeypatch,
                                               capsys, labels, match):
         monkeypatch.chdir(tmp_path)
@@ -405,6 +408,21 @@ class TestErrors:
         """The count is a config value, so the error names its key."""
         monkeypatch.chdir(tmp_path)
         rc = run([verb, "--set", "network.preset=desk-sweep", "--set", setting])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: {setting.split('=')[0]}: ") and got in err
+
+    @pytest.mark.parametrize("setting,got", [
+        ("network.classes=0", "classes 0 must be positive"),
+        ("network.branches=point,short", "bad branch assignment ('point', 'short')"),
+        ("network.branches=point,short,mid",
+         "bad branch assignment ('point', 'short', 'mid')")])
+    def test_bad_network_value_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                              setting, got):
+        """A preset that a [network] value makes invalid is a config error
+        naming the key, as a bad value of any other section is."""
+        monkeypatch.chdir(tmp_path)
+        rc = run(["export-spec", "--set", setting])
         out, err = capsys.readouterr()
         assert rc == 1 and out == ""
         assert err.startswith(f"error: {setting.split('=')[0]}: ") and got in err

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,25 @@ class TestLoadDir:
         dt.write_idx(tmp_path / "train-labels.idx", np.zeros(4, np.uint8))
         with pytest.raises(ValueError, match="10 images but 4 labels"):
             dt.load_dir(tmp_path, "train")
+
+    @pytest.mark.parametrize("labels,first", [
+        ([0.5, 2.9, -0.7], "label 0.5 at index 0"), ([1, 2, -1], "label -1.0 at index 2"),
+        ([1, np.nan, 0], "label nan at index 1"), ([0, np.inf, 1], "label inf at index 1"),
+        ([0, 1, 2.0 ** 64], "label 1.8446744073709552e+19 at index 2")])
+    def test_idx_labels_must_be_non_negative_whole_numbers(self, tmp_path, labels, first):
+        """A float label would otherwise be truncated, or wrap past int64,
+        to a class index."""
+        dt.write_idx(tmp_path / "train-images.idx", np.zeros((3, 4, 4), np.uint8))
+        dt.write_idx(tmp_path / "train-labels.idx", np.array(labels, np.float32))
+        with pytest.raises(ValueError, match=f"^'train' {re.escape(first)} is not a "
+                                             r"non-negative whole number below 2\*\*63$"):
+            dt.load_dir(tmp_path, "train")
+
+    def test_whole_float_idx_labels_load(self, tmp_path):
+        dt.write_idx(tmp_path / "train-images.idx", np.zeros((3, 4, 4), np.uint8))
+        dt.write_idx(tmp_path / "train-labels.idx", np.array([0, 3, 1], np.float32))
+        ds = dt.load_dir(tmp_path, "train")
+        assert ds.y.dtype == np.int64 and ds.y.tolist() == [0, 3, 1] and ds.classes == 4
 
     def test_idx_labels_of_another_rank_rejected(self, tmp_path):
         """A (n, 10) labels file is not one label per image; cross_entropy

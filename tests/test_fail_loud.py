@@ -79,11 +79,11 @@ CASES = {
         "binary-conv-3x3", 8, 8, stride=2).validate()),
     "3x3-widening": (nw.SpecError, "got stride 1, 8 -> 16", lambda tp: nw.LayerSpec(
         "binary-conv-3x3", 8, 16).validate()),
-    "1x1-strided": (nw.SpecError, "is stride 1, got 2", lambda tp: nw.LayerSpec(
-        "binary-conv-1x1", 8, 8, stride=2).validate()),
-    "downsample-stride-1": (nw.SpecError, "use stride 2, got 1", lambda tp: nw.LayerSpec(
-        "downsample", 8, 16).validate()),
-    "1x1-width": (nw.SpecError, "got 8 -> 24", lambda tp: nw.LayerSpec(
+    "1x1-strided": (nw.SpecError, "takes stride 1 and out in [8, 16]; got stride 2",
+                    lambda tp: nw.LayerSpec("binary-conv-1x1", 8, 8, stride=2).validate()),
+    "downsample-stride-1": (nw.SpecError, "takes stride 2 and out in [8, 16]; got stride 1",
+                            lambda tp: nw.LayerSpec("downsample", 8, 16).validate()),
+    "1x1-width": (nw.SpecError, "got stride 1, 8 -> 24", lambda tp: nw.LayerSpec(
         "binary-conv-1x1", 8, 24).validate()),
     # network.NetworkSpec.validate
     "no-layers": (nw.SpecError, "bare: empty layer list",
@@ -101,6 +101,9 @@ CASES = {
                         lambda tp: nw.parse_network_spec("# spec\n[net]\n")),
     "no-network-section": (nw.SpecError, "missing [network] section",
                            lambda tp: nw.parse_network_spec("[layer]\nkind = classifier\n")),
+    "no-layers-in-file": (nw.SpecError, "line 2: unnamed: empty layer list",
+                          lambda tp: nw.parse_network_spec(
+                              "# spec\n[network]\ninput = 8x8\nclasses = 3\n")),
     # network.Network and presets
     "packed-at-step-1": (ValueError, "at step 1", lambda tp: _stepped_net(1).forward_packed(
         np.zeros((1, 1, 16, 16), np.float32))),

@@ -274,6 +274,32 @@ class TestSpecs:
         else:
             assert _built_stem_hw(nw.parse_network_spec(text)) == (8, 8)
 
+    @pytest.mark.parametrize("hw,stride,layer,match", [
+        (9, 1, "kind = downsample\nout = 8\nstride = 2",
+         "layer 1 downsamples 9x9 not divisible by 2"),
+        (2, 2, "kind = binary-mlp\nout = 8\nstride = 1",
+         "binary-mlp at layer 1 needs h,w >= 2, got 1x1"),
+        (8, 2, "kind = classifier", "classifier at layer 1 must be last")])
+    def test_network_rule_in_a_spec_file_names_its_line(self, hw, stride, layer, match):
+        """NetworkSpec.validate finds these, and the reader names the line
+        of the layer it fails at."""
+        text = _stem_spec_text(hw, hw).replace("stride = 2", f"stride = {stride}").replace(
+            "[layer]\nkind = classifier", f"[layer]\n{layer}\n\n[layer]\nkind = classifier")
+        with pytest.raises(nw.SpecError, match=f"^line 12: {re.escape(match)}$"):
+            nw.parse_network_spec(text)
+
+    @pytest.mark.parametrize("name", ["x\ny", "a#b", " pad ", "pad\n"])
+    def test_name_a_spec_file_cannot_hold_rejected(self, name):
+        """to_text writes the name on one `name = ...` line, where a line
+        break splits the file and a comment or outer whitespace is dropped,
+        so build refuses the spec before any checkpoint holds it."""
+        spec = replace(nw.desk_micro(), name=name)
+        for call in (spec.validate, lambda: nw.build(spec)):
+            with pytest.raises(nw.SpecError, match=re.escape(repr(name))):
+                call()
+        spec.name = "a = [b] c"
+        assert nw.parse_network_spec(spec.to_text()) == spec
+
     def test_kernel_off_the_stem_rejected(self):
         text = _stem_spec_text().replace(
             "[layer]\nkind = classifier",
@@ -283,23 +309,27 @@ class TestSpecs:
             nw.parse_network_spec(text)
 
     @pytest.mark.parametrize("kind,key,match", [
-        ("binary-mlp", "dynamic = true", "binary-mlp has no dynamic"),
-        ("stem-conv", "dynamic = true", "stem-conv has no dynamic"),
-        ("classifier", "dynamic = true", "classifier has no dynamic"),
-        ("classifier", "stride = 5", "classifier has no stride"),
+        ("binary-mlp", "dynamic = true", "binary-mlp takes no 'dynamic'"),
+        ("stem-conv", "dynamic = true", "stem-conv takes no 'dynamic'"),
+        ("classifier", "dynamic = true", "classifier takes no 'dynamic'"),
+        ("classifier", "stride = 5", "classifier takes no 'stride'"),
         ("binary-conv-3x3", "branches = point,short,long",
          "binary-conv-3x3 takes no 'branches'"),
         ("stem-conv", "branches = long,long,long", "stem-conv takes no 'branches'"),
         ("classifier", "branches = point,point,point",
-         "classifier takes no 'branches'")])
+         "classifier takes no 'branches'"),
+        ("binary-mlp", "dynamic = false", "binary-mlp takes no 'dynamic'"),
+        ("classifier", "stride = 1", "classifier takes no 'stride'"),
+        ("downsample", "pool = false", "downsample takes no 'pool'")])
     def test_key_the_kind_ignores_names_its_line(self, kind, key, match):
-        """build would drop each of these keys, so each is a SpecError."""
+        """build would drop each of these keys, so each is a SpecError, even
+        at its default value."""
         with pytest.raises(nw.SpecError, match=f"line {_KIND_LINES[kind]}: {match}"):
             nw.parse_network_spec(_kinds_spec_text(kind, key))
 
     @pytest.mark.parametrize("kind,key", [
-        ("binary-conv-3x3", "dynamic = true"), ("binary-mlp", "dynamic = false"),
-        ("binary-mlp", "branches = long,point,short"), ("classifier", "stride = 1")])
+        ("binary-conv-3x3", "dynamic = true"), ("downsample", "dynamic = false"),
+        ("binary-mlp", "branches = long,point,short"), ("stem-conv", "pool = false")])
     def test_key_the_kind_takes_parses(self, kind, key):
         spec = nw.parse_network_spec(_kinds_spec_text(kind, key))
         assert nw.parse_network_spec(spec.to_text()) == spec
@@ -348,15 +378,16 @@ def _stem_spec_text(h=32, w=32):
 
 # The [layer] header line of each layer in _kinds_spec_text.
 _KIND_LINES = {"stem-conv": 5, "binary-conv-3x3": 10, "binary-mlp": 13,
-               "classifier": 16}
+               "downsample": 16, "classifier": 20}
 
 
 def _kinds_spec_text(kind, key):
-    """A stem, a binary-conv-3x3, a binary-mlp and a classifier, whose
-    headers are at _KIND_LINES, with key added to the layer of that kind."""
+    """A stem, a binary-conv-3x3, a binary-mlp, a downsample and a
+    classifier, whose headers are at _KIND_LINES, with key added to the
+    layer of that kind."""
     layers = [("stem-conv", "out = 8\nstride = 1\nkernel = 3\n"),
               ("binary-conv-3x3", "out = 8\n"), ("binary-mlp", "out = 8\n"),
-              ("classifier", "")]
+              ("downsample", "out = 8\nstride = 2\n"), ("classifier", "")]
     text = "[network]\ninput = 8x8\nclasses = 10\nin_channels = 1\n"
     for k, body in layers:
         text += f"[layer]\nkind = {k}\n{body}" + (f"{key}\n" if k == kind else "")
@@ -402,6 +433,13 @@ def random_specs(draw):
 
 
 class TestRandomSpecExactness:
+    @given(random_specs())
+    @settings(max_examples=60, deadline=None)
+    def test_spec_text_roundtrips(self, spec):
+        """The reader takes back every text to_text writes, as a checkpoint
+        holds it."""
+        assert nw.parse_network_spec(spec.to_text()) == spec
+
     @given(random_specs(), st.integers(2, 3), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_packed_equals_float_and_training_unaffected(self, spec, n, seed):
