@@ -21,6 +21,9 @@ whose slope is 2+2x on [-1, 0), 2-2x on [0, 1) and 0 elsewhere. Passing
 ``surrogate=True`` to the binarizing ops swaps the forward to q itself;
 gradients are then the true gradients of that smooth surrogate, which is
 what the finite-difference checks exercise.
+
+The graph keeps only what backward reads: it links Nodes, never Tensors,
+and backward releases each interior Node as its sweep passes (see Node).
 """
 
 from __future__ import annotations
@@ -73,41 +76,74 @@ def hard_sign(z):
     return out
 
 
+def _axis_order(a):
+    """The axes, slowest-varying first, that np.empty_like(a) lays out."""
+    if a.flags.c_contiguous:
+        return tuple(range(a.ndim))
+    if a.flags.f_contiguous:
+        return tuple(range(a.ndim))[::-1]
+    return tuple(sorted(range(a.ndim), key=lambda i: -abs(a.strides[i])))
+
+
+class Node:
+    """The graph record of a tensor that requires grad: gradient, parents'
+    Nodes, backward closure, and its value's shape, dtype and axis order,
+    never the value. A closure captures its parents' Nodes and only the
+    arrays it reads, so an output that no backward reads dies with its
+    Tensor. backward drops an interior Node's grad, closure and parents
+    (to None) as its closure runs; leaves keep their grad."""
+
+    __slots__ = ("grad", "parents", "backward", "shape", "dtype", "order")
+
+    def __init__(self, data, parents, backward):
+        self.grad, self.parents, self.backward = None, parents, backward
+        self.shape, self.dtype, self.order = data.shape, data.dtype, _axis_order(data)
+
+    def accumulate(self, g):
+        if self.grad is None:
+            # 0 + g into np.empty_like(data)'s dtype and layout, as zeros_like
+            # then += would round it (-0.0 becomes +0.0), in one pass.
+            buf = np.empty([self.shape[i] for i in self.order], self.dtype)
+            self.grad = np.add(g, 0.0, out=buf.transpose(np.argsort(self.order)))
+        else:
+            self.grad += g
+
+
 class Tensor:
-    """A node in the computation graph; wraps a float ndarray.
+    """A float ndarray and, when it requires grad, the Node that records it.
+    With no Node, a forward over no-grad parameters builds no graph and frees
+    each intermediate as soon as the next op has consumed it."""
 
-    A node that requires no grad keeps neither its parents nor its backward
-    closure, so a forward over no-grad parameters builds no graph and frees
-    each intermediate as soon as the next op has consumed it.
-    """
-
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data)
-        self.grad = None
-        self.requires_grad = requires_grad or (any(p.requires_grad for p in parents)
-                                               and getattr(_mode, "record", True))
-        self._parents = parents if self.requires_grad else ()
-        self._backward = backward if self.requires_grad else None
+        nodes = tuple(p.node for p in parents if p.node is not None)
+        record = requires_grad or (nodes and getattr(_mode, "record", True))
+        self.node = Node(self.data, nodes, backward) if record else None
+
+    @property
+    def requires_grad(self):
+        return self.node is not None
+
+    @property
+    def grad(self):
+        return None if self.node is None else self.node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self.node.grad = g
 
     @property
     def shape(self):
         return self.data.shape
 
     def accumulate(self, g):
-        if self.grad is None:
-            # 0 + g into the data's dtype and layout, as zeros_like then +=
-            # would round it (-0.0 becomes +0.0), in one pass.
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
-        else:
-            self.grad += g
+        self.node.accumulate(g)
 
     def reshape(self, *shape):
-        src_shape = self.data.shape
-
-        def bwd(g, x=self):
-            x.accumulate(g.reshape(src_shape))
+        def bwd(g, x=self.node):
+            x.accumulate(g.reshape(x.shape))
 
         return Tensor(self.data.reshape(*shape), parents=(self,), backward=bwd)
 
@@ -136,12 +172,17 @@ def param(data, dtype=np.float32):
 
 
 def backward(root: Tensor):
-    """Reverse-topological sweep from a scalar loss node."""
+    """Reverse-topological sweep from a scalar loss, releasing each interior
+    Node as it passes: afterwards only leaves hold a .grad, and sweeping the
+    released graph again raises ValueError, as does a root with no graph."""
     if root.data.size != 1:
         raise ValueError(f"backward() needs a scalar root, got shape {root.data.shape}")
+    if root.node is None:
+        raise ValueError("backward() root records no graph: it requires no grad "
+                         "(made under no_grad, or from inputs that require none)")
     order = []
     seen = set()
-    stack = [(root, False)]
+    stack = [(root.node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -149,15 +190,20 @@ def backward(root: Tensor):
             continue
         if id(node) in seen:
             continue
+        if node.parents is None:
+            raise ValueError("backward() reached a graph that an earlier backward "
+                             "released; run the forward again")
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen and p.requires_grad:
-                stack.append((p, False))
-    root.accumulate(np.ones_like(root.data))
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        stack.extend((p, False) for p in node.parents if id(p) not in seen)
+    root.node.accumulate(np.ones_like(root.data))
+    while order:
+        node = order.pop()
+        if node.backward is not None:
+            grad, bwd = node.grad, node.backward
+            node.grad = node.backward = node.parents = None
+            if grad is not None:
+                bwd(grad)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -171,17 +217,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g, a=a, b=b):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
+    def bwd(g, a=a.node, b=b.node):
+        if a is not None:
+            a.accumulate(_unbroadcast(g, a.shape))
+        if b is not None:
+            b.accumulate(_unbroadcast(g, b.shape))
 
     return Tensor(a.data + b.data, parents=(a, b), backward=bwd)
 
 
 def scale_by(a: Tensor, s: float) -> Tensor:
-    def bwd(g, a=a, s=s):
+    def bwd(g, a=a.node, s=s):
         a.accumulate(g * s)
 
     return Tensor(a.data * s, parents=(a,), backward=bwd)
@@ -199,12 +245,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     parents = (x, w) if b is None else (x, w, b)
 
-    def bwd(g, x=x, w=w, b=b):
-        if x.requires_grad:
-            x.accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w.accumulate(x.data.T @ g)
-        if b is not None and b.requires_grad:
+    def bwd(g, x=x.node, w=w.node, b=None if b is None else b.node, xd=x.data, wd=w.data):
+        if x is not None:
+            x.accumulate(g @ wd.T)
+        if w is not None:
+            w.accumulate(xd.T @ g)
+        if b is not None:
             b.accumulate(g.sum(axis=0))
 
     return Tensor(out, parents=parents, backward=bwd)
@@ -226,13 +272,12 @@ def binarize(x: Tensor, threshold: Tensor | None, surrogate: bool = False) -> Te
         z, thr_shape, parents = x.data - t_b, t_b.shape, (x, threshold)
     out = qb_forward(z) if surrogate else hard_sign(z)
 
-    def bwd(g, x=x, threshold=threshold, z=z, thr_shape=thr_shape):
+    def bwd(g, x=x.node, t=None if threshold is None else threshold.node):
         f = qb_grad(z) * g
-        if x.requires_grad:
+        if x is not None:
             x.accumulate(f)
-        if threshold is not None and threshold.requires_grad:
-            gt = _unbroadcast(-f, thr_shape).reshape(threshold.data.shape)
-            threshold.accumulate(gt)
+        if t is not None:
+            t.accumulate(_unbroadcast(-f, thr_shape).reshape(t.shape))
 
     return Tensor(out, parents=parents, backward=bwd)
 
@@ -277,9 +322,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
     integer result afterwards, keeping float and bit-packed execution
     bit-identical.
 
-    The graph keeps x, w, the window matrix cols and scale, never a float
-    copy of the signs: the backward re-derives them from w as it is at
-    backward time, as the STE mask qb_grad(w) does.
+    The backward keeps the window matrix cols, the bank w.data (the
+    parameter's own array) and scale, never a float copy of the signs nor
+    the output: it re-derives the signs from the bank, as the STE mask
+    qb_grad(w) does.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -301,18 +347,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         out *= scale  # out's dtype already holds w's, so nothing rounds narrower
     out = out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
-    def bwd(g, x=x, w=w, cols=cols, scale=scale, oh=oh, ow=ow):
+    def bwd(g, x=x.node, w=w.node, wd=w.data, cols=cols, scale=scale, oh=oh, ow=ow):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, c_out)
         if scale is not None:
             g2 = g2 * scale[None, :]
-        if x.requires_grad:
-            grad_cols = g2 @ filters(w.data.reshape(c_out, -1))
-            x.accumulate(col2im(grad_cols, x.data.shape, k, stride, pad, oh, ow))
-        if w.requires_grad:
+        if x is not None:
+            grad_cols = g2 @ filters(wd.reshape(c_out, -1))
+            x.accumulate(col2im(grad_cols, x.shape, k, stride, pad, oh, ow))
+        if w is not None:
             gw = g2.T @ cols
             if scale is not None:
-                gw *= qb_grad(w.data.reshape(c_out, -1))
-            w.accumulate(gw.reshape(w.data.shape))
+                gw *= qb_grad(wd.reshape(c_out, -1))
+            w.accumulate(gw.reshape(wd.shape))
 
     return Tensor(out, parents=(x, w), backward=bwd)
 
@@ -341,7 +387,7 @@ def quartile_shift(x: Tensor, offsets) -> Tensor:
         sl = slice(i * q, (i + 1) * q)
         out[:, sl] = np.roll(x.data[:, sl], (-r1, -r2), axis=(2, 3))
 
-    def bwd(g, x=x, offsets=offsets, q=q):
+    def bwd(g, x=x.node, offsets=offsets, q=q):
         gx = np.empty_like(g)
         for i, (r1, r2) in enumerate(offsets):
             sl = slice(i * q, (i + 1) * q)
@@ -374,16 +420,15 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
     xhat = _into(np.multiply, x.data - mu[None, :, None, None], inv_std[None, :, None, None])
     out = _into(np.add, xhat * gamma.data[None, :, None, None], beta.data[None, :, None, None])
 
-    def bwd(g, x=x, gamma=gamma, beta=beta, xhat=xhat, inv_std=inv_std,
-            training=training):
-        if beta.requires_grad:
+    def bwd(g, x=x.node, gamma=gamma.node, beta=beta.node, gd=gamma.data):
+        if beta is not None:
             beta.accumulate(g.sum(axis=axes))
-        if gamma.requires_grad:
+        if gamma is not None:
             gamma.accumulate((g * xhat).sum(axis=axes))
-        if x.requires_grad:
-            gxh = g * gamma.data[None, :, None, None]
+        if x is not None:
+            gxh = g * gd[None, :, None, None]
             if training:
-                m = x.data.shape[0] * x.data.shape[2] * x.data.shape[3]
+                m = x.shape[0] * x.shape[2] * x.shape[3]
                 s1 = gxh.sum(axis=axes)
                 s2 = (gxh * xhat).sum(axis=axes)
                 gx = (gxh - (s1[None, :, None, None] + xhat * s2[None, :, None, None]) / m)
@@ -421,21 +466,21 @@ def rprelu(x: Tensor, shift_in: Tensor, slope: Tensor, shift_out: Tensor) -> Ten
     """
     t = x.data - shift_in.data[None, :, None, None]
     pos = t > 0
-    out = _select(pos, t, slope.data[None, :, None, None] * t)
+    s4 = slope.data[None, :, None, None]
+    out = _select(pos, t, s4 * t)
     out += shift_out.data[None, :, None, None]
 
-    def bwd(g, x=x, shift_in=shift_in, slope=slope, shift_out=shift_out, t=t, pos=pos):
+    def bwd(g, x=x.node, shift_in=shift_in.node, slope=slope.node, shift_out=shift_out.node):
         # np.where(pos, 1.0, slope) in g's dtype and pos's layout, handed to
         # the product as a temporary, as the np.where form's was.
-        dt = g * _select(pos, 1.0, np.positive(slope.data[None, :, None, None],
-                                               out=np.empty_like(pos, dtype=g.dtype)))
-        if x.requires_grad:
+        dt = g * _select(pos, 1.0, np.positive(s4, out=np.empty_like(pos, dtype=g.dtype)))
+        if x is not None:
             x.accumulate(dt)
-        if shift_in.requires_grad:
+        if shift_in is not None:
             shift_in.accumulate(-dt.sum(axis=(0, 2, 3)))
-        if slope.requires_grad:
+        if slope is not None:
             slope.accumulate((g * _select(pos, 0.0, np.copy(t))).sum(axis=(0, 2, 3)))
-        if shift_out.requires_grad:
+        if shift_out is not None:
             shift_out.accumulate(g.sum(axis=(0, 2, 3)))
 
     return Tensor(out, parents=(x, shift_in, slope, shift_out), backward=bwd)
@@ -449,9 +494,9 @@ def avgpool2(x: Tensor) -> Tensor:
     r = x.data.reshape(n, c, h // 2, 2, w // 2, 2)
     out = r.mean(axis=(3, 5))
 
-    def bwd(g, x=x):
+    def bwd(g, x=x.node):
         gx = np.repeat(np.repeat(g, 2, axis=2), 2, axis=3) * 0.25
-        x.accumulate(gx.astype(x.data.dtype))
+        x.accumulate(gx.astype(x.dtype))
 
     return Tensor(out, parents=(x,), backward=bwd)
 
@@ -460,8 +505,8 @@ def channel_tile(x: Tensor, times: int) -> Tensor:
     """Duplicate the channel axis (skip path for channel-doubling blocks)."""
     out = np.concatenate([x.data] * times, axis=1)
 
-    def bwd(g, x=x, times=times):
-        c = x.data.shape[1]
+    def bwd(g, x=x.node, times=times):
+        c = x.shape[1]
         gx = sum(g[:, i * c:(i + 1) * c] for i in range(times))
         x.accumulate(gx)
 
@@ -473,9 +518,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     n, c, h, w = x.data.shape
     out = x.data.mean(axis=(2, 3))
 
-    def bwd(g, x=x):
-        gx = np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape)
-        x.accumulate(gx.astype(x.data.dtype))
+    def bwd(g, x=x.node):
+        gx = np.broadcast_to(g[:, :, None, None] / (h * w), x.shape)
+        x.accumulate(gx.astype(x.dtype))
 
     return Tensor(out, parents=(x,), backward=bwd)
 
@@ -505,9 +550,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     logp = z - lse
     loss = -(target * logp).sum(axis=1).mean()
 
-    def bwd(g, logits=logits, logp=logp, target=target):
-        if logits.requires_grad:
-            p = np.exp(logp)
-            logits.accumulate(((p - target) * (float(g) / n)).astype(logits.data.dtype))
+    def bwd(g, logits=logits.node, logp=logp, target=target):
+        p = np.exp(logp)
+        logits.accumulate(((p - target) * (float(g) / n)).astype(logits.dtype))
 
     return Tensor(np.asarray(loss), parents=(logits,), backward=bwd)

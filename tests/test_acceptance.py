@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance, one printed
 pass/fail line each (run with `pytest tests/test_acceptance.py -s -v`).
 
-The desk-scale training criteria (6a-6c) dominate the runtime; expect the
+The desk-scale training criteria (6a-6c, 6e) dominate the runtime; expect the
 whole module to take on the order of ten minutes on a 2-core CPU.
 """
 
@@ -218,12 +218,12 @@ def micro_pair_data():
     return train, test
 
 
-def _micro_two_step(branches, seed, train, init_from_step1=True, iters=350):
+def _micro_two_step(spec, seed, train, init_from_step1=True, iters=350):
     cfg1 = tr.TrainConfig(step=1, iterations=iters, batch_size=64, lr=2e-3,
                           weight_decay=1e-5, augment="roll", seed=seed)
     cfg2 = tr.TrainConfig(step=2, iterations=iters, batch_size=64, lr=1e-3,
                           weight_decay=0.0, augment="roll", seed=seed + 100)
-    net = nw.build(nw.desk_micro(branches=branches), seed=seed)
+    net = nw.build(spec, seed=seed)
     for cfg in (cfg1, cfg2) if init_from_step1 else (cfg2,):
         tr.train_step(net, train, cfg)
     return net
@@ -234,8 +234,8 @@ def psl_from_step1_top1(micro_pair_data):
     """Held-out top-1 of P-S-L desk-micro trained step 1 then step 2, for
     seeds 0-2: 6b's P-S-L side and 6c's from-step-1 side are these runs."""
     train, test = micro_pair_data
-    return [tr.evaluate(_micro_two_step(("point", "short", "long"), seed, train),
-                        test).top1 for seed in (0, 1, 2)]
+    return [tr.evaluate(_micro_two_step(nw.desk_micro(), seed, train), test).top1
+            for seed in (0, 1, 2)]
 
 
 @criterion("6a", "two-step desk-tiny reaches >=55% top-1 on the 10-class "
@@ -266,8 +266,8 @@ def test_criterion_6b_psl_beats_pointwise(micro_pair_data, psl_from_step1_top1):
     ppp_spec = nw.desk_micro(branches=("point", "point", "point"))
     assert cm.count_network(psl_spec).ops == cm.count_network(ppp_spec).ops
     psl = psl_from_step1_top1
-    ppp = [tr.evaluate(_micro_two_step(("point", "point", "point"), seed, train),
-                       test).top1 for seed in (0, 1, 2)]
+    ppp = [tr.evaluate(_micro_two_step(ppp_spec, seed, train), test).top1
+           for seed in (0, 1, 2)]
     print(f"\n  P-S-L={np.mean(psl):.3f} (seeds {psl}) "
           f"P-only={np.mean(ppp):.3f} (seeds {ppp})")
     assert np.mean(psl) >= np.mean(ppp)
@@ -280,11 +280,37 @@ def test_criterion_6c_two_step_beats_random_init(micro_pair_data,
     train, test = micro_pair_data
     wins = []
     for seed, a in zip((0, 1, 2), psl_from_step1_top1):
-        b = tr.evaluate(_micro_two_step(("point", "short", "long"), seed,
-                                        train, False), test).top1
+        b = tr.evaluate(_micro_two_step(nw.desk_micro(), seed, train, False),
+                        test).top1
         print(f"\n  seed {seed}: from-step1={a:.3f} random-init={b:.3f}")
         wins.append(a > b)
     assert all(wins)
+
+
+@criterion("6e", "a binary MLP tail beats a binary conv tail at equal BOPs over "
+                 "3 seeds")
+def test_criterion_6e_mlp_tail_beats_conv_tail(micro_pair_data, psl_from_step1_top1):
+    """The pair pre-registered before its first run: desk-micro, which is
+    replace_trailing_convs(conv_twin, 3), against conv_twin, desk-micro's
+    stem and downsample, one binary-conv-3x3 at 32 channels and the
+    classifier; 6b's recipe and data, seeds 0-2. Both have 221,184 BOPs,
+    but the MLP side has more OPs (24,768 against 17,600)."""
+    train, test = micro_pair_data
+    micro = nw.desk_micro()
+    stem, down, head = micro.layers[0], micro.layers[1], micro.layers[-1]
+    conv_twin = nw.NetworkSpec("desk-micro-conv", micro.input_hw, micro.classes,
+                               [stem, down, nw.LayerSpec("binary-conv-3x3", 32, 32), head],
+                               micro.in_channels).validate()
+    assert nw.replace_trailing_convs(conv_twin, 3).layers == micro.layers
+    mlp_cost, conv_cost = cm.count_network(micro), cm.count_network(conv_twin)
+    assert mlp_cost.bops == conv_cost.bops == 221_184
+    mlp = psl_from_step1_top1
+    conv = [tr.evaluate(_micro_two_step(conv_twin, seed, train), test).top1
+            for seed in (0, 1, 2)]
+    print(f"\n  MLP tail={np.mean(mlp):.3f} (seeds {mlp}, {mlp_cost.ops:,.0f} OPs) "
+          f"conv tail={np.mean(conv):.3f} (seeds {conv}, {conv_cost.ops:,.0f} OPs), "
+          f"{mlp_cost.bops:,} BOPs each")
+    assert np.mean(mlp) >= np.mean(conv)
 
 
 @criterion(7, "binarization-error analyzer: exactness, linearity, oracle "

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,7 +258,7 @@ class TestRprelu:
         params = [ag.Tensor(p, requires_grad=True) for p in (shift_in, slope, shift_out)]
         with np.errstate(invalid="ignore", over="ignore"):
             y = ag.rprelu(xs, *params)
-            y._backward(g)
+            y.node.backward(g)
             want = rprelu_reference(x, shift_in, slope, shift_out, g)
         assert_bit_identical(y.data, want[0])
         assert_bit_identical(xs.grad, self.accumulated(x, want[1]))
@@ -278,7 +280,8 @@ class TestRprelu:
 
 
 class TestAccumulate:
-    """The first accumulate equals zeros_like(data) followed by +=."""
+    """The first accumulate equals zeros_like(data) followed by +=, in
+    data's dtype and layout, on a leaf and on an op's output alike."""
 
     @staticmethod
     def reference(data, g):
@@ -286,13 +289,16 @@ class TestAccumulate:
         grad += g
         return grad
 
-    @pytest.mark.parametrize("layout", ["nchw", "channel_last"])
+    @pytest.mark.parametrize("node", ["leaf", "interior"])
+    @pytest.mark.parametrize("layout", ["nchw", "channel_last", "transposed"])
     @pytest.mark.parametrize("g_kind", ["same", "float64", "broadcast", "scalar"])
-    def test_first_touch_matches_zeros_then_add(self, layout, g_kind):
+    def test_first_touch_matches_zeros_then_add(self, layout, g_kind, node):
         rng = np.random.default_rng(3)
         data = rng.normal(size=(2, 3, 4, 5)).astype(np.float32)
         if layout == "channel_last":
             data = channel_last(data)
+        elif layout == "transposed":  # every axis reversed in memory
+            data = np.ascontiguousarray(data.T).T
         g = {"same": rng.normal(size=data.shape).astype(np.float32),
              "float64": rng.normal(size=data.shape) * (1 + 1e-12),
              "broadcast": rng.normal(size=(1, 3, 1, 1)).astype(np.float32),
@@ -300,6 +306,9 @@ class TestAccumulate:
         if g_kind != "scalar":
             g.flat[::3] = -0.0
         t = ag.Tensor(data, requires_grad=True)
+        if node == "interior":
+            t = ag.scale_by(t, 1.0)
+            assert t.node.backward is not None and stride_order(t.data) == stride_order(data)
         t.accumulate(g)
         want = self.reference(data, g)
         assert_bit_identical(t.grad, want)
@@ -319,7 +328,7 @@ class TestSignSte:
         assert np.array_equal(
             bt.unpack(bt.pack(np.array([0.5]), 0.0)), [1.0])
         out.accumulate(np.ones_like(out.data))  # drive the node manually
-        out._backward(out.grad)
+        out.node.backward(out.grad)
         assert x.grad[0, 0] == 1.0  # qb'(0.5) = 1
 
     def test_threshold_boundary_gives_minus_one(self):
@@ -352,7 +361,7 @@ class TestSignSte:
         out = ag.binarize(x, thr, surrogate=True)
         g = rng.normal(size=out.data.shape)
         out.accumulate(g)
-        out._backward(out.grad)
+        out.node.backward(out.grad)
         expect = -(ag.qb_grad(x.data) * g).sum(axis=(0, 2, 3))
         assert np.allclose(thr.grad, expect, rtol=1e-12)
 
@@ -495,6 +504,95 @@ class TestBackward:
         assert picked == 10
 
 
+def _arrays(a):
+    """Weak references to an ndarray and to the array owning its memory."""
+    return [weakref.ref(a)] + ([] if a.base is None else [weakref.ref(a.base)])
+
+
+class TestGraphLifetime:
+    """The graph keeps only what backward reads: an op output whose value
+    no backward reads dies when the forward drops its Tensor, and backward
+    releases every interior node, leaving gradients on the leaves only."""
+
+    @staticmethod
+    def _params(rng, c):
+        return {"w": ag.param(rng.normal(size=(c, c, 3, 3)) * 0.3, np.float64),
+                "thr": ag.param(rng.normal(size=c) * 0.1, np.float64),
+                "gamma": ag.param(np.ones(c), np.float64),
+                "beta": ag.param(np.zeros(c), np.float64),
+                **{k: ag.param(np.full(c, v), np.float64)
+                   for k, v in (("a", 0.0), ("slope", 0.25), ("b", 0.0))}}
+
+    @staticmethod
+    def _loss(y):
+        return ag.cross_entropy(ag.global_avg_pool(y), np.array([0, 1]), 0.1)
+
+    @pytest.mark.parametrize("producer", ["conv2d->batchnorm", "binarize->conv2d", "add->rprelu"])
+    def test_output_no_backward_reads_dies_with_its_tensor(self, rng, producer):
+        c = 4
+        p = self._params(rng, c)
+        x = ag.param(rng.normal(size=(2, c, 6, 6)), np.float64)
+        stats = (np.zeros(c), np.ones(c))
+        if producer == "conv2d->batchnorm":
+            mid = ag.conv2d(x, p["w"], pad=1, scale=bt.weight_scale(p["w"].data))
+            refs = _arrays(mid.data)
+            y = ag.batchnorm(mid, p["gamma"], p["beta"], *stats, training=True)
+        elif producer == "binarize->conv2d":
+            mid = ag.binarize(x, p["thr"])
+            refs = _arrays(mid.data)
+            y = ag.conv2d(mid, p["w"], pad=1, scale=bt.weight_scale(p["w"].data),
+                          pad_value=-1.0)
+        else:
+            mid = ag.add(ag.scale_by(x, 0.5), x)
+            refs = _arrays(mid.data)
+            y = ag.rprelu(mid, p["a"], p["slope"], p["b"])
+        del mid
+        loss = self._loss(y)
+        del y
+        assert all(r() is None for r in refs), producer
+        loss.backward()
+        assert x.grad is not None and np.isfinite(x.grad).all()
+
+    def test_backward_releases_interior_nodes_and_keeps_leaf_grads(self, rng):
+        c = 4
+        p = self._params(rng, c)
+        x = ag.param(rng.normal(size=(2, c, 6, 6)), np.float64)
+        xb = ag.binarize(x, p["thr"])
+        y = ag.conv2d(xb, p["w"], pad=1, scale=bt.weight_scale(p["w"].data), pad_value=-1.0)
+        z = ag.batchnorm(y, p["gamma"], p["beta"], np.zeros(c), np.ones(c), training=True)
+        out = ag.rprelu(ag.add(z, x), p["a"], p["slope"], p["b"])
+        loss = self._loss(out)
+        interior = [xb, y, z, out, loss]
+        loss.backward()
+        for t in interior:
+            assert t.grad is None and t.node.backward is None and t.node.parents is None
+        for name, t in [("x", x), *p.items()]:
+            assert t.grad is not None and t.grad.shape == t.data.shape, name
+
+    def test_root_without_a_graph_rejected(self, rng):
+        w = ag.param(rng.normal(size=(4, 3)), dtype=np.float64)
+        x = ag.Tensor(rng.normal(size=(2, 4)))
+        with ag.no_grad():
+            loss = ag.cross_entropy(ag.linear(x, w), np.array([0, 1]))
+        with pytest.raises(ValueError, match="root records no graph"):
+            loss.backward()
+        with pytest.raises(ValueError, match="root records no graph"):
+            ag.cross_entropy(x, np.array([0, 1])).backward()
+        assert w.grad is None
+
+    def test_released_graph_rejected(self, rng):
+        w = ag.param(rng.normal(size=(4, 3)), dtype=np.float64)
+        logits = ag.linear(ag.Tensor(rng.normal(size=(2, 4))), w)
+        loss = ag.cross_entropy(logits, np.array([0, 1]))
+        other = ag.cross_entropy(logits, np.array([1, 1]))  # shares logits' node
+        loss.backward()
+        g = w.grad.copy()
+        for root in (loss, other):
+            with pytest.raises(ValueError, match="earlier backward released"):
+                root.backward()
+        assert np.array_equal(w.grad, g)  # no gradient moved
+
+
 class TestNoGrad:
     def test_records_nothing_in_this_thread_only(self, rng):
         import threading
@@ -520,7 +618,7 @@ class TestNoGrad:
                 raise RuntimeError("leave the block by an error")
         t.join(timeout=30)
         assert not t.is_alive() and seen["other"]
-        assert not y.requires_grad and y._parents == () and w.requires_grad
+        assert not y.requires_grad and y.node is None and w.requires_grad
         assert ag.linear(x, w).requires_grad  # restored after the error
 
 

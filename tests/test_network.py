@@ -491,6 +491,26 @@ class TestForward:
             pool.shutdown()
         assert peak < 7 * 2**20, peak / 2**20
 
+    def test_training_step_transient_memory_bounded(self, rng):
+        """One step-2 training step (forward, backward, AdamW) on a fresh
+        desk-tiny at batch 64 peaks under 96 MiB by tracemalloc: 75.9 MiB
+        with a graph of Nodes released as the backward sweep passes, 184.8
+        MiB when the graph held every op output and interior gradient until
+        the loss died."""
+        import tracemalloc
+
+        data = Dataset(rng.standard_normal((64, 3, 32, 32), dtype=np.float32),
+                       rng.integers(0, 10, 64), 10)
+        net = nw.build(nw.desk_tiny(), seed=0)
+        cfg = tr.TrainConfig(step=2, iterations=1, batch_size=64, weight_decay=0.0)
+        tracemalloc.start()
+        try:
+            tr.train_step(net, data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2**20, peak / 2**20
+
     def test_zero_weight_classifier_zero_logits(self, rng):
         net = nw.build(nw.desk_micro(), seed=0)
         head = net.layers[-1]
