@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Verbs: train, eval, count-ops, analyze-binerr, sweep, export-spec.
-Exit codes: 0 ok, 1 usage error, 2 runtime error. Every artifact-producing
-run writes a `<output>.manifest.json` sidecar (config digest, seed,
-versions; no timestamps, so reruns are byte-identical).
+Exit codes: 0 ok, 1 usage error, 2 runtime error. Each verb returns its
+text and `main` writes it to --output, else prints it; `train` writes its
+own checkpoint and returns nothing. Whenever --output is set, `main` also
+writes a `<output>.manifest.json` sidecar (config digest, seed, versions;
+no timestamps, so reruns are byte-identical).
 
 The dataset root comes from `[data] root`, falling back to the
 BITCONTEXT_DATA environment variable; a `[data] synthetic` run reads none.
@@ -32,14 +34,6 @@ class _Parser(argparse.ArgumentParser):
 
 class RuntimeFailure(RuntimeError):
     pass
-
-
-def _load_cfg(args) -> dict:
-    if getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
-        cfg = parse_config("")
-    return apply_overrides(cfg, getattr(args, "set", None))
 
 
 def _network_spec(cfg) -> nw.NetworkSpec:
@@ -104,29 +98,6 @@ def _load_data(cfg, split_key):
         raise RuntimeFailure(f"dataset: {e}") from None
 
 
-def _write_manifest(args, cfg):
-    manifest = {
-        "command": args.verb,
-        "config_sha256": config_digest(cfg),
-        "seed": cfg["run"]["seed"],
-        "bitcontext_version": __version__,
-        "numpy_version": np.__version__,
-    }
-    with open(f"{args.output}.manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _emit(text, args, cfg):
-    """Write text and its manifest to --output, else print it."""
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text + "\n")
-        _write_manifest(args, cfg)
-    else:
-        print(text)
-
-
 def _train_config(cfg, step, train_data, classes) -> tr.TrainConfig:
     """Training step `step` (1 or 2) of a `classes`-class network as
     configured and validated: step 1 reads [train], step 2 [train2]; seeded
@@ -157,63 +128,47 @@ def _train_config(cfg, step, train_data, classes) -> tr.TrainConfig:
         raise ConfigError(f"{section}.{e}") from None
 
 
-def cmd_train(args) -> int:
-    steps = [s.strip() for s in args.steps.split(",")]
-    if not set(steps) <= {"1", "2"}:
-        raise ConfigError(f"--steps {args.steps!r} is not a comma list of 1s and 2s")
-    cfg = _load_cfg(args)
+def cmd_train(args, cfg) -> None:
     spec = _network_spec(cfg)
     train_data = _load_data(cfg, "train_split")
     net = nw.build(spec, seed=cfg["run"]["seed"])
     if args.init:
         nw.load_into(net, args.init)
     history = []
-    for tcfg in [_train_config(cfg, int(step), train_data, spec.classes) for step in steps]:
+    for tcfg in [_train_config(cfg, step, train_data, spec.classes) for step in args.steps]:
         res = tr.train_step(net, train_data, tcfg)
         history.extend((tcfg.step, i, v) for i, v in enumerate(res.loss_history))
         last = np.mean(res.loss_history[-10:]) if res.loss_history else float("nan")
         print(f"step {tcfg.step}: {len(res.loss_history)} iterations, "
               f"final loss {last:.4f}")
     nw.save(net, args.output)
-    _write_manifest(args, cfg)
     if args.history:
         with open(args.history, "w") as f:
             f.write("step\titeration\tloss\n")
             for step, i, v in history:
                 f.write(f"{step}\t{i}\t{v:.8f}\n")
     print(f"checkpoint written to {args.output}")
-    return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_eval(args, cfg) -> str:
     net = nw.load(args.checkpoint)
     eval_data = _load_data(cfg, "eval_split")
     m = tr.evaluate(net, eval_data, packed=args.packed)
-    _emit("\t".join(["top1", "top5", "loss", "n"]) + "\n" +
-          f"{m.top1:.6f}\t{m.top5:.6f}\t{m.loss:.6f}\t{m.n}", args, cfg)
-    return 0
+    return ("\t".join(["top1", "top5", "loss", "n"]) + "\n" +
+            f"{m.top1:.6f}\t{m.top5:.6f}\t{m.loss:.6f}\t{m.n}")
 
 
-def cmd_count_ops(args) -> int:
-    cfg = _load_cfg(args)
-    spec = _network_spec(cfg)
-    report = costmodel.count_network(spec, mac_ops=args.mac_ops)
-    text = report.to_delimited() if args.format == "tsv" else report.to_text()
-    _emit(text, args, cfg)
-    return 0
+def cmd_count_ops(args, cfg) -> str:
+    report = costmodel.count_network(_network_spec(cfg), mac_ops=args.mac_ops)
+    return report.to_delimited() if args.format == "tsv" else report.to_text()
 
 
-def cmd_analyze_binerr(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_analyze_binerr(args, cfg) -> str:
     net = nw.load(args.checkpoint)
-    report = analysis.per_branch_report(net, mode=args.mode)
-    _emit(report.to_delimited(), args, cfg)
-    return 0
+    return analysis.per_branch_report(net, mode=args.mode).to_delimited()
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load_cfg(args)
+def cmd_sweep(args, cfg) -> str:
     scfg = cfg["sweep"]
     if not all(p.strip().isdecimal() for p in scfg["points"].split(",")):
         raise ConfigError(f"sweep.points = {scfg['points']!r} is not a comma "
@@ -235,15 +190,20 @@ def cmd_sweep(args) -> int:
     except nw.ReplacementError as e:
         raise ConfigError(f"sweep.points: {e}") from None
     lines = [list(rows[0])] + [[str(v) for v in r.values()] for r in rows]
-    _emit("\n".join("\t".join(line) for line in lines), args, cfg)
-    return 0
+    return "\n".join("\t".join(line) for line in lines)
 
 
-def cmd_export_spec(args) -> int:
-    cfg = _load_cfg(args)
-    spec = _network_spec(cfg)
-    _emit(spec.to_text().rstrip("\n"), args, cfg)
-    return 0
+def cmd_export_spec(args, cfg) -> str:
+    return _network_spec(cfg).to_text().rstrip("\n")
+
+
+def _steps(text: str) -> list:
+    """--steps: a comma list of 1s and 2s, checked before any config is read."""
+    steps = [s.strip() for s in text.split(",")]
+    if not set(steps) <= {"1", "2"}:
+        raise argparse.ArgumentTypeError(
+            f"--steps {text!r} is not a comma list of 1s and 2s")
+    return [int(s) for s in steps]
 
 
 def build_parser() -> _Parser:
@@ -262,7 +222,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("train", help="run the two-step training pipeline")
     common(sp, output_required=True)
     sp.add_argument("--init", help="initial weights (step-2 / fine-tune)")
-    sp.add_argument("--steps", default="1,2",
+    sp.add_argument("--steps", default="1,2", type=_steps,
                     help="comma list of steps to run (default 1,2)")
     sp.add_argument("--history", help="write per-iteration losses (TSV)")
     sp.set_defaults(fn=cmd_train)
@@ -304,7 +264,21 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.fn(args)
+        cfg = apply_overrides(load_config(args.config) if args.config
+                              else parse_config(""), args.set)
+        text = args.fn(args, cfg)
+        if not args.output:
+            print(text)
+        elif text is not None:  # train wrote its checkpoint to --output
+            with open(args.output, "w") as f:
+                f.write(text + "\n")
+        if args.output:
+            manifest = {"command": args.verb, "config_sha256": config_digest(cfg),
+                        "seed": cfg["run"]["seed"], "bitcontext_version": __version__,
+                        "numpy_version": np.__version__}
+            with open(f"{args.output}.manifest.json", "w") as f:
+                json.dump(manifest, f, indent=2, sort_keys=True)
+                f.write("\n")
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -312,6 +286,7 @@ def main(argv=None) -> int:
             ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -120,7 +120,7 @@ def count_layer(ls: LayerSpec, hw: tuple):
 def count_network(spec: NetworkSpec, mac_ops: int = 1) -> CostReport:
     """Full per-layer report; counting is purely structural."""
     report = CostReport()
-    hw = tuple(spec.input_hw)
+    hw = spec.input_hw
     for i, ls in enumerate(spec.layers):
         bops, flops, convfc, hw = count_layer(ls, hw)
         name = f"L{i:02d}-{ls.kind}-{ls.c_out}"

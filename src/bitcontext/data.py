@@ -139,9 +139,9 @@ def split_files(root, split: str) -> list:
 
 def load_dir(root, split: str) -> Dataset:
     """Load a split's IDX pair, or its CIFAR .bin files concatenated. A
-    split must hold at least one image and one label per image, as a
-    rank-1 labels array of whole numbers from 0 to 2**63 - 1 (int64);
-    anything else raises ValueError."""
+    split must hold at least one image, as (n, h, w) or (n, c, h, w), and
+    one label per image, as a rank-1 labels array of whole numbers from 0
+    to 2**63 - 1 (int64); anything else raises ValueError."""
     files = split_files(root, split)
     if not files:
         raise FileNotFoundError(f"no {split!r} files under {root}")
@@ -149,6 +149,9 @@ def load_dir(root, split: str) -> Dataset:
         images, labels = read_idx(files[0]), read_idx(files[1])
         if images.ndim == 3:  # (n, h, w) -> single channel
             images = images[:, None, :, :]
+        if images.ndim != 4:
+            raise ValueError(f"{split!r} images have shape {images.shape}; "
+                             "images need shape (n, h, w) or (n, c, h, w)")
     else:
         parts = [read_cifar_bin(f) for f in files]
         images = np.concatenate([p[0] for p in parts])

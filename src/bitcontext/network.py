@@ -73,6 +73,9 @@ class LayerSpec:
     branches: tuple = BRANCH_KINDS
     pool: bool = False
 
+    def __post_init__(self):  # a list of branches is the equal tuple's spec
+        self.branches = tuple(self.branches)
+
     def validate(self):
         if self.kind not in KIND_KEYS:
             raise SpecError(f"unknown layer kind {self.kind!r}")
@@ -118,6 +121,9 @@ class NetworkSpec:
     classes: int
     layers: list = field(default_factory=list)
     in_channels: int = 3
+
+    def __post_init__(self):  # a list input_hw is the equal tuple's spec
+        self.input_hw = tuple(self.input_hw)
 
     def validate(self):
         h, w = self.input_hw
@@ -309,7 +315,7 @@ class Network:
 
     def forward_packed(self, x: np.ndarray) -> np.ndarray:
         """Evaluation forward with every binary core on the bit-packed kernels
-    (evaluation statistics, binary weights); equals forward() exactly."""
+        (evaluation statistics, binary weights); equals forward() exactly."""
         if not self.binary_weights:
             raise ValueError("packed execution requires binarized weights; "
                              f"the network is at step {self.step}")
@@ -318,8 +324,10 @@ class Network:
             x = layer.infer_packed(x)
         return x
 
-    def _input(self, x: np.ndarray) -> np.ndarray:
-        """x checked against the spec's input shape, cast to the network's dtype."""
+    def _input(self, x) -> np.ndarray:
+        """x as an array, checked against the spec's input shape, cast to the
+        network's dtype."""
+        x = np.asarray(x)
         want = (self.spec.in_channels, *self.spec.input_hw)
         if x.ndim != 4 or x.shape[1:] != want:
             got = "x".join(map(str, x.shape[1:])) if x.ndim == 4 else f"of rank {x.ndim}"
@@ -468,7 +476,7 @@ def desk_tiny(classes=10, branches=("point", "short", "long"),
         LayerSpec("stem-conv", 3, 32, stride=2),
         LayerSpec("downsample", 32, 64, stride=2, dynamic=dynamic),
         *[LayerSpec("binary-conv-3x3", 64, 64, dynamic=dynamic) for _ in range(3)],
-        *[LayerSpec("binary-mlp", 64, 64, branches=tuple(branches)) for _ in range(3)],
+        *[LayerSpec("binary-mlp", 64, 64, branches=branches) for _ in range(3)],
         LayerSpec("classifier", 64, classes),
     ]
     return NetworkSpec("desk-tiny", (32, 32), classes, layers).validate()
@@ -480,7 +488,7 @@ def desk_micro(classes=10, branches=("point", "short", "long")) -> NetworkSpec:
     layers = [
         LayerSpec("stem-conv", 1, 16, stride=2),
         LayerSpec("downsample", 16, 32, stride=2),
-        *[LayerSpec("binary-mlp", 32, 32, branches=tuple(branches)) for _ in range(3)],
+        *[LayerSpec("binary-mlp", 32, 32, branches=branches) for _ in range(3)],
         LayerSpec("classifier", 32, classes),
     ]
     return NetworkSpec("desk-micro", (16, 16), classes, layers,
@@ -663,9 +671,8 @@ def _check_architecture(saved: NetworkSpec, own: NetworkSpec, path):
     """Raise CheckpointError at the first difference between a checkpoint's
     spec and a network's, but for the name and plain layers made dynamic."""
     pairs = [("spec", replace(saved, name=own.name, layers=len(saved.layers)),
-              replace(own, input_hw=tuple(own.input_hw), layers=len(own.layers)))]
-    pairs += [(f"layer {i} ({a.kind})", replace(a, dynamic=a.dynamic or b.dynamic),
-               replace(b, branches=tuple(b.branches)))
+              replace(own, layers=len(own.layers)))]
+    pairs += [(f"layer {i} ({a.kind})", replace(a, dynamic=a.dynamic or b.dynamic), b)
               for i, (a, b) in enumerate(zip(saved.layers, own.layers))]
     for where, a, b in pairs:
         diff = [f"{f.name} {getattr(a, f.name)!r} -> {getattr(b, f.name)!r}"

@@ -3,6 +3,8 @@ import json
 import os
 import pickle
 import struct
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -296,6 +298,18 @@ class TestErrors:
                     "--set", "network.preset=desk-micro"]) == 2
         err = capsys.readouterr().err
         assert "dataset: " in err and match in err
+
+    def test_idx_images_of_another_rank_are_runtime_error(self, tmp_path, monkeypatch,
+                                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("data")
+        dt.write_idx("data/train-images.idx", np.zeros((4, 16), np.uint8))
+        dt.write_idx("data/train-labels.idx", np.zeros(4, np.uint8))
+        assert run(["train", "--output", "ck.bin", "--set", "data.root=data"]) == 2
+        assert capsys.readouterr().err == ("error: dataset: 'train' images have shape "
+                                           "(4, 16); images need shape (n, h, w) or "
+                                           "(n, c, h, w)\n")
+        assert not os.path.exists("ck.bin")
 
     def test_empty_dataset_split_is_runtime_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -688,11 +702,19 @@ class TestReports:
         ("train", []), ("eval", ["--checkpoint", "ck.bin"]), ("count-ops", []),
         ("analyze-binerr", ["--checkpoint", "ck.bin"]),
         ("sweep", ["--set", "sweep.points=0"]), ("export-spec", [])])
-    def test_manifest_command_is_the_verb(self, workdir, verb, extra):
+    def test_manifest_command_is_the_verb(self, workdir, capsys, verb, extra):
+        """--output gets a manifest naming the verb; without --output, every
+        verb but train prints the text it would write, and writes no file."""
         if "--checkpoint" in extra:
             run(["train", "--config", "run.cfg", "--output", "ck.bin"])
         assert run([verb, "--config", "run.cfg", "--output", "out"] + extra) == 0
         assert json.loads(open("out.manifest.json").read())["command"] == verb
+        if verb != "train":
+            files = sorted(os.listdir())
+            capsys.readouterr()
+            assert run([verb, "--config", "run.cfg"] + extra) == 0
+            assert capsys.readouterr().out == open("out").read()
+            assert sorted(os.listdir()) == files
 
     def test_export_spec_parses_back(self, workdir, capsys):
         assert run(["export-spec", "--set",
@@ -706,6 +728,27 @@ class TestReports:
         assert run(["count-ops", "--output", "ops.txt"]) == 0
         assert os.path.exists("ops.txt")
         assert os.path.exists("ops.txt.manifest.json")
+
+
+class TestProcess:
+    """`python -m bitcontext.cli` exits with main's code and reports every
+    error as one line, never a traceback."""
+
+    @pytest.mark.parametrize("args,code", [
+        (["export-spec"], 0), (["train", "--output", "ck.bin", "--steps", "3"], 1),
+        (["eval", "--checkpoint", "missing.bin"], 2)])
+    def test_exit_code(self, tmp_path, args, code):
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run([sys.executable, "-m", "bitcontext.cli"] + args,
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert (proc.stderr == "") == (code == 0)
+        if code == 0:
+            assert proc.stdout == nw.desk_tiny().to_text().rstrip("\n") + "\n"
+        assert os.listdir(tmp_path) == []
 
 
 class TestConfig:

@@ -151,6 +151,17 @@ class TestLoadDir:
         with pytest.raises(ValueError, match=r"'train' labels have shape \(10, 10\)"):
             dt.load_dir(tmp_path, "train")
 
+    @pytest.mark.parametrize("shape", [(), (4,), (4, 16), (4, 1, 1, 4, 4)])
+    def test_idx_images_of_another_rank_rejected(self, tmp_path, shape):
+        """Images are (n, h, w) or (n, c, h, w); any other rank is named
+        with its split and shape, not left to fail later."""
+        dt.write_idx(tmp_path / "train-images.idx", np.zeros(shape, np.uint8))
+        dt.write_idx(tmp_path / "train-labels.idx", np.zeros(4, np.uint8))
+        with pytest.raises(ValueError, match=re.escape(
+                f"'train' images have shape {shape}; images need shape "
+                "(n, h, w) or (n, c, h, w)")):
+            dt.load_dir(tmp_path, "train")
+
     @pytest.mark.parametrize("fmt,shape", [("idx", r"\(0, 1, 4, 4\)"),
                                            ("cifar", r"\(0, 3, 32, 32\)")])
     def test_empty_split_rejected(self, tmp_path, fmt, shape):

@@ -350,6 +350,26 @@ class TestSpecs:
         with pytest.raises(nw.SpecError, match=f"^{ls.kind} (has|takes) no"):
             ls.validate()
 
+    def test_listed_branches_write_the_tuple_spec_text(self):
+        """The default branches given as a list are the default: to_text
+        omits them, as it does for the tuple-built spec."""
+        listed = nw.desk_micro(branches=list(nw.BRANCH_KINDS))
+        assert listed.layers[2].branches == nw.BRANCH_KINDS
+        assert listed.to_text() == nw.desk_micro().to_text()
+
+    def test_listed_default_branches_accepted_off_the_mlp(self):
+        """A conv layer given the default branches as a list takes them."""
+        ls = nw.LayerSpec("binary-conv-3x3", 8, 8, branches=list(nw.BRANCH_KINDS))
+        ls.validate()
+        assert ls == nw.LayerSpec("binary-conv-3x3", 8, 8)
+
+    def test_listed_input_hw_spec_survives_save_and_load(self, tmp_path):
+        spec = replace(nw.desk_micro(), input_hw=[16, 16])
+        assert spec.input_hw == (16, 16)
+        net = nw.build(spec, seed=1)
+        nw.save(net, tmp_path / "net.ckpt")
+        assert nw.load(tmp_path / "net.ckpt").spec == net.spec
+
     def test_programmatic_zero_stride_rejected(self):
         with pytest.raises(nw.SpecError, match="positive"):
             nw.LayerSpec("stem-conv", 3, 8, stride=0).validate()
@@ -646,6 +666,9 @@ class TestPersistence:
                 with pytest.raises(ValueError, match=f"input of rank {len(shape)} does "
                                                      "not match spec 1x16x16"):
                     forward(np.zeros(shape))
+            with pytest.raises(ValueError, match="input of rank 2 does not match spec "
+                                                 r"1x16x16 \(an N x C x H x W batch\)"):
+                forward([[1.0]])
 
     def test_float64_roundtrip_keeps_dtype_and_logits(self, tmp_path, rng):
         """load builds the network in the checkpoint's own dtype."""
@@ -812,9 +835,8 @@ class TestPersistence:
         """Lists where the spec reader makes tuples are the same spec."""
         p = tmp_path / "plain.ckpt"
         nw.save(nw.build(nw.desk_tiny(), seed=3), p)
-        spec = nw.desk_tiny(dynamic=True)
-        spec.name, spec.input_hw = "tuned", [32, 32]
-        spec.layers[5].branches = list(spec.layers[5].branches)
+        spec = replace(nw.desk_tiny(dynamic=True), name="tuned", input_hw=[32, 32])
+        spec.layers[5] = replace(spec.layers[5], branches=list(spec.layers[5].branches))
         nw.load_into(nw.build(spec, seed=4), p)
 
     def test_load_into_dynamic_variant_keeps_zero_embeddings(self, tmp_path, rng):
