@@ -264,6 +264,8 @@ def binarize(x: Tensor, threshold: Tensor | None, surrogate: bool = False) -> Te
     too: scalar, per-channel (c,) or per-sample (n, c), broadcast over the
     spatial axes of 4-D input. The backward rule sends qb'(x - t) * g to x
     and the negated channel-sum of the same quantity to the threshold.
+    The backward holds z = x - t in float: nothing else holds x, so
+    rebuilding z from x would hold the same bytes.
     """
     if threshold is None:
         z, thr_shape, parents = x.data, None, (x,)
@@ -311,7 +313,7 @@ def col2im(grad_cols: np.ndarray, x_shape: tuple, k: int, stride: int, pad: int,
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
            surrogate: bool = False, scale=None,
-           pad_value: float = 0.0) -> Tensor:
+           binary_input: bool = False) -> Tensor:
     """2-D convolution; a 2-D (c_out, c_in) weight is a 1x1 filter bank.
 
     scale None means full-precision weights. Otherwise the effective filter
@@ -322,10 +324,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
     integer result afterwards, keeping float and bit-packed execution
     bit-identical.
 
-    The backward keeps the window matrix cols, the bank w.data (the
-    parameter's own array) and scale, never a float copy of the signs nor
-    the output: it re-derives the signs from the bank, as the STE mask
-    qb_grad(w) does.
+    binary_input marks x as signs: padding is -1, as on the packed route,
+    and, unless surrogate, the +-1 x is narrowed to int8 once. im2col
+    gathers int8 windows and the GEMM widens them to x's dtype: the values
+    and layout of a float gather, so the same bits.
+
+    The backward keeps the window matrix cols, or only the int8 x (one
+    byte per element, re-gathered and widened for the weight gradient),
+    the bank w.data (the parameter's own array) and scale, never a float
+    copy of the signs nor the output: it re-derives the signs from the
+    bank, as the STE mask qb_grad(w) does.
     """
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
@@ -337,8 +345,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         raise DimensionError(
             f"conv2d: input channels {x.data.shape[1]} != filter channels {c_in}"
         )
-    n = x.data.shape[0]
-    cols, oh, ow = im2col(x.data, k, stride, pad, pad_value)
+    n, dtype = x.data.shape[0], x.data.dtype
+    xq = x.data.astype(np.int8) if binary_input and not surrogate else None
+    cols, oh, ow = im2col(x.data if xq is None else xq, k, stride, pad,
+                          -1 if binary_input else 0)
+    cols = cols.astype(dtype, copy=False)  # int8 windows widen; float ones pass through
     signs = qb_forward if surrogate else hard_sign
     filters = (lambda w2d: w2d) if scale is None else signs  # the GEMM's filter rows
     out = cols @ filters(w.data.reshape(c_out, -1)).T
@@ -347,7 +358,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         out *= scale  # out's dtype already holds w's, so nothing rounds narrower
     out = out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
-    def bwd(g, x=x.node, w=w.node, wd=w.data, cols=cols, scale=scale, oh=oh, ow=ow):
+    def bwd(g, x=x.node, w=w.node, wd=w.data, cols=cols if xq is None else None,
+            xq=xq, scale=scale, oh=oh, ow=ow):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, c_out)
         if scale is not None:
             g2 = g2 * scale[None, :]
@@ -355,6 +367,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
             grad_cols = g2 @ filters(wd.reshape(c_out, -1))
             x.accumulate(col2im(grad_cols, x.shape, k, stride, pad, oh, ow))
         if w is not None:
+            if cols is None:
+                cols = im2col(xq, k, stride, pad, -1)[0].astype(dtype)
             gw = g2.T @ cols
             if scale is not None:
                 gw *= qb_grad(wd.reshape(c_out, -1))
@@ -364,11 +378,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
 
 
 def token_fc(x: Tensor, w: Tensor, surrogate: bool = False,
-             scale=None) -> Tensor:
+             scale=None, binary_input: bool = False) -> Tensor:
     """Token-wise fully connected layer over channels at every position:
     x is (n, c_in, h, w), w is (c_out, c_in), read by conv2d as a 1x1
-    filter bank, so forward, scale and STE backward are conv2d's."""
-    return conv2d(x, w, surrogate=surrogate, scale=scale)
+    filter bank, so forward, scale, STE backward and binary_input (a
+    hard-sign x held as int8) are conv2d's."""
+    return conv2d(x, w, surrogate=surrogate, scale=scale, binary_input=binary_input)
 
 
 def quartile_shift(x: Tensor, offsets) -> Tensor:

@@ -6,10 +6,10 @@ Every block has one arithmetic definition, forward(x, st). The flag
 st.packed swaps only the binary core of the binary conv and MLP blocks:
 
   float   -- ag.binarize -> ag.conv2d, or ag.binarize -> quartile_shift
-             -> token_fc, on +-1 float tensors (or the polynomial
-             surrogate when st.surrogate); training and gradient checks
-             run here. A token-wise FC branch is a binary 1x1 conv:
-             token_fc is ag.conv2d reading the (c, c) weight as k=1.
+             -> token_fc, on +-1 tensors held as int8 (binary_input), or
+             the polynomial surrogate when st.surrogate; training and
+             gradient checks run here. A token-wise FC branch is a binary
+             1x1 conv: token_fc is ag.conv2d reading the (c, c) weight as k=1.
   packed  -- pack -> binary_conv2d, or pack -> reconstruct_* -> binary_conv2d
              with the (c, c) weight as a 1x1 bank, on XNOR/popcount words.
 
@@ -261,7 +261,7 @@ class BinaryConvBlock(_Layer, _NormAct):
             xb = ag.binarize(x, thr, surrogate=st.surrogate)
             y = ag.conv2d(xb, self.w, stride=self.stride, pad=pad,
                           surrogate=st.surrogate, scale=_scale(self.w, st),
-                          pad_value=-1.0)
+                          binary_input=True)
         if gamma is not None:
             y = y + gamma.reshape(gamma.shape[0], self.c_out, 1, 1)
         y = self._norm(y, st)
@@ -306,7 +306,7 @@ class BinaryMlpBlock(_Layer, _NormAct):
         if kind != "point":
             offs = SHORT_OFFSETS if kind == "short" else long_offsets(*src.shape[2:])
             src = ag.quartile_shift(src, offs)
-        return ag.token_fc(src, w, surrogate=st.surrogate, scale=_scale(w, st))
+        return ag.token_fc(src, w, st.surrogate, _scale(w, st), binary_input=True)
 
     def forward(self, x: Tensor, st: ForwardState) -> Tensor:
         if st.packed:

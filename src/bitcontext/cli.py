@@ -279,6 +279,11 @@ def main(argv=None) -> int:
             with open(f"{args.output}.manifest.json", "w") as f:
                 json.dump(manifest, f, indent=2, sort_keys=True)
                 f.write("\n")
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`), which is not a failure; point
+        # stdout at devnull so the interpreter's final flush prints nothing.
+        sys.stdout = open(os.devnull, "w")
+        return 0
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

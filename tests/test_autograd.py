@@ -541,7 +541,7 @@ class TestGraphLifetime:
             mid = ag.binarize(x, p["thr"])
             refs = _arrays(mid.data)
             y = ag.conv2d(mid, p["w"], pad=1, scale=bt.weight_scale(p["w"].data),
-                          pad_value=-1.0)
+                          binary_input=True)
         else:
             mid = ag.add(ag.scale_by(x, 0.5), x)
             refs = _arrays(mid.data)
@@ -558,7 +558,7 @@ class TestGraphLifetime:
         p = self._params(rng, c)
         x = ag.param(rng.normal(size=(2, c, 6, 6)), np.float64)
         xb = ag.binarize(x, p["thr"])
-        y = ag.conv2d(xb, p["w"], pad=1, scale=bt.weight_scale(p["w"].data), pad_value=-1.0)
+        y = ag.conv2d(xb, p["w"], pad=1, scale=bt.weight_scale(p["w"].data), binary_input=True)
         z = ag.batchnorm(y, p["gamma"], p["beta"], np.zeros(c), np.ones(c), training=True)
         out = ag.rprelu(ag.add(z, x), p["a"], p["slope"], p["b"])
         loss = self._loss(out)
@@ -798,3 +798,91 @@ class TestGraphMemoryAndEpilogues:
         f = scale.astype(np.float32) if scale.dtype.kind != "f" else scale
         want = (k - 2 * mismatches.astype(np.int32)).astype(f.dtype) * f[None, :]
         assert_bit_identical(got, want)
+
+
+def _held_arrays(t):
+    """The ndarrays that a Tensor's backward closure holds: its default
+    arguments and the cells it closes over."""
+    fn = t.node.backward
+    values = list(fn.__defaults__ or ()) + [c.cell_contents for c in fn.__closure__ or ()]
+    return [v for v in values if isinstance(v, np.ndarray)]
+
+
+class TestSignInputHeldAsInt8:
+    """A binary conv on a hard-sign input holds that input as int8, one byte
+    per element, and re-gathers its windows for the weight gradient; every
+    other conv holds its float window matrix. The values are unchanged."""
+
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
+    def test_hard_sign_input_held_as_one_int8_array(self, rng, k, stride, pad):
+        x = ag.param(rng.normal(size=(2, 8, 6, 6)), np.float32)
+        w = ag.param(rng.normal(size=(5, 8, k, k)), np.float32)
+        xb = ag.binarize(x, None)
+        y = ag.conv2d(xb, w, stride, pad, scale=bt.weight_scale(w.data), binary_input=True)
+        held = _held_arrays(y)
+        small = [a for a in held if a.dtype == np.int8]
+        assert len(small) == 1 and small[0].shape == xb.data.shape
+        assert np.array_equal(small[0], xb.data)
+        floats = [a for a in held if a.dtype.kind == "f"]
+        assert all(a is w.data or a.size == 5 for a in floats), [a.shape for a in floats]
+
+    def test_float_inputs_keep_their_float_windows(self, rng, monkeypatch):
+        """The stem conv, a surrogate binary conv or MLP block and a
+        real-input token_fc hold a float window matrix; the hard-sign binary
+        conv and MLP blocks hold only their int8 input."""
+        from bitcontext import blocks as bl
+        held = []
+        conv2d = ag.conv2d
+
+        def spy(x, w, *args, **kwargs):
+            y = conv2d(x, w, *args, **kwargs)
+            held.append([(a.dtype.kind, a.shape) for a in _held_arrays(y)
+                         if a is not w.data and a.ndim > 1])
+            return y
+
+        monkeypatch.setattr(ag, "conv2d", spy)
+
+        def windows(block, surrogate=False, c=8):
+            held.clear()
+            block.forward(ag.Tensor(rng.normal(size=(2, c, 8, 8)).astype(np.float32)),
+                          bl.ForwardState(training=True, surrogate=surrogate))
+            return held
+
+        assert windows(bl.StemConv(3, 8, 1, rng), c=3) == [[("f", (128, 27))]]
+        conv, mlp = bl.BinaryConvBlock(8, 8, 3, 1, rng), bl.BinaryMlpBlock(8, rng)
+        assert windows(conv, surrogate=True) == [[("f", (128, 72))]]
+        assert windows(mlp, surrogate=True) == [[("f", (128, 8))]] * 3
+        assert windows(conv) == [[("i", (2, 8, 8, 8))]]
+        assert windows(mlp) == [[("i", (2, 8, 8, 8))]] * 3
+        held.clear()
+        ag.token_fc(ag.Tensor(rng.normal(size=(2, 8, 3, 3))), ag.param(rng.normal(size=(4, 8))))
+        assert held == [[("f", (18, 8))]]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("binary_weights", [True, False])
+    @pytest.mark.parametrize("k,stride,pad", [(3, 1, 1), (3, 2, 1), (1, 1, 0)])
+    def test_gradients_equal_float_held_formula(self, rng, dtype, binary_weights, k, stride, pad):
+        x0 = rng.normal(size=(2, 6, 7, 7)).astype(dtype)
+        w0 = rng.uniform(-1.3, 1.3, size=(5, 6, k, k)).astype(dtype)
+        scale = bt.weight_scale(w0) if binary_weights else None
+        x, w = ag.param(x0, dtype), ag.param(w0, dtype)
+        xb = ag.binarize(x, None)
+        y = ag.conv2d(xb, w, stride, pad, scale=scale, binary_input=True)
+        g = rng.normal(size=y.shape).astype(dtype)
+        ag.Tensor(np.asarray((y.data * g).sum()), parents=(y,),
+                  backward=lambda _, y=y: y.accumulate(g)).backward()
+        cols, oh, ow = bt.im2col(xb.data, k, stride, pad, -1)
+        w2d = w0.reshape(5, -1)
+        wq = w2d if scale is None else ag.hard_sign(w2d)
+        out = cols @ wq.T
+        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, 5)
+        if scale is not None:
+            out *= scale
+            g2 = g2 * scale[None, :]
+        gw = g2.T @ cols
+        if scale is not None:
+            gw *= ag.qb_grad(w2d)
+        assert_bit_identical(y.data, out.reshape(2, oh, ow, 5).transpose(0, 3, 1, 2))
+        assert_bit_identical(w.grad, gw.reshape(w0.shape) + 0.0)  # accumulate's 0 + g
+        gx = ag.col2im(g2 @ wq, x0.shape, k, stride, pad, oh, ow)
+        assert np.array_equal(x.grad, ag.qb_grad(x0) * gx)

@@ -205,6 +205,23 @@ class TestErrors:
         assert run(["count-ops", "--set", "network.bogus=1"]) == 1
         assert "network.bogus" in capsys.readouterr().err
 
+    def test_closed_stdout_is_not_a_failure(self, workdir, monkeypatch, capsys):
+        """A reader that closes the pipe early (`| head`) makes print raise
+        BrokenPipeError: main returns 0, writes nothing to stderr, and
+        leaves stdout on devnull for the interpreter's final flush."""
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(["count-ops"]) == 0
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+        assert capsys.readouterr().err == ""
+
     def test_bad_value_reports_key_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "bad.cfg"

@@ -513,10 +513,10 @@ class TestForward:
 
     def test_training_step_transient_memory_bounded(self, rng):
         """One step-2 training step (forward, backward, AdamW) on a fresh
-        desk-tiny at batch 64 peaks under 96 MiB by tracemalloc: 75.9 MiB
-        with a graph of Nodes released as the backward sweep passes, 184.8
-        MiB when the graph held every op output and interior gradient until
-        the loss died."""
+        desk-tiny at batch 64 peaks under 56 MiB by tracemalloc: 43.2 MiB
+        with binary convs holding their +-1 inputs as int8, 75.9 MiB when
+        they held float window matrices, 184.8 MiB when the graph also held
+        every op output and interior gradient until the loss died."""
         import tracemalloc
 
         data = Dataset(rng.standard_normal((64, 3, 32, 32), dtype=np.float32),
@@ -529,7 +529,25 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 96 * 2**20, peak / 2**20
+        assert peak < 56 * 2**20, peak / 2**20
+
+    def test_graph_building_forward_transient_memory_bounded(self, rng):
+        """An evaluation forward that builds the graph (the parameters
+        require grad) on a fresh desk-tiny at batch 64 peaks under 48 MiB
+        by tracemalloc: 37.0 MiB with binary convs holding their +-1
+        inputs as int8, 73.0 MiB when they held float window matrices."""
+        import tracemalloc
+
+        net = nw.build(nw.desk_tiny(), seed=0)
+        x = rng.standard_normal((64, 3, 32, 32), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            logits = net.forward(x, training=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits.requires_grad
+        assert peak < 48 * 2**20, peak / 2**20
 
     def test_zero_weight_classifier_zero_logits(self, rng):
         net = nw.build(nw.desk_micro(), seed=0)
