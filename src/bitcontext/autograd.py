@@ -364,8 +364,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         if scale is not None:
             g2 = g2 * scale[None, :]
         if x is not None:
-            grad_cols = g2 @ filters(wd.reshape(c_out, -1))
-            x.accumulate(col2im(grad_cols, x.shape, k, stride, pad, oh, ow))
+            # The column gradient is a temporary, freed before the re-gather
+            # below asks for a float window matrix of the same size.
+            x.accumulate(col2im(g2 @ filters(wd.reshape(c_out, -1)), x.shape,
+                                k, stride, pad, oh, ow))
         if w is not None:
             if cols is None:
                 cols = im2col(xq, k, stride, pad, -1)[0].astype(dtype)
