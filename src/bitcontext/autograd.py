@@ -24,6 +24,8 @@ what the finite-difference checks exercise.
 
 The graph keeps only what backward reads: it links Nodes, never Tensors,
 and backward releases each interior Node as its sweep passes (see Node).
+binarize holds no copy of an rprelu or batchnorm output: it rebuilds it
+from the array that op's backward holds anyway (see Node.recompute).
 """
 
 from __future__ import annotations
@@ -90,13 +92,17 @@ class Node:
     Nodes, backward closure, and its value's shape, dtype and axis order,
     never the value. A closure captures its parents' Nodes and only the
     arrays it reads, so an output that no backward reads dies with its
-    Tensor. backward drops an interior Node's grad, closure and parents
+    Tensor. recompute, when set, is a zero-argument function that rebuilds
+    the value bit for bit from arrays the closure already holds, so a
+    consumer's backward can hold it in place of a copy of the value.
+    backward drops an interior Node's grad, closure, recompute and parents
     (to None) as its closure runs; leaves keep their grad."""
 
-    __slots__ = ("grad", "parents", "backward", "shape", "dtype", "order")
+    __slots__ = ("grad", "parents", "backward", "recompute", "shape", "dtype", "order")
 
-    def __init__(self, data, parents, backward):
+    def __init__(self, data, parents, backward, recompute=None):
         self.grad, self.parents, self.backward = None, parents, backward
+        self.recompute = recompute
         self.shape, self.dtype, self.order = data.shape, data.dtype, _axis_order(data)
 
     def accumulate(self, g):
@@ -110,17 +116,19 @@ class Node:
 
 
 class Tensor:
-    """A float ndarray and, when it requires grad, the Node that records it.
+    """A float ndarray and, when it requires grad, the Node that records it
+    (with the op's backward and, if it has one, its recompute of data).
     With no Node, a forward over no-grad parameters builds no graph and frees
     each intermediate as soon as the next op has consumed it."""
 
     __slots__ = ("data", "node")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
+    def __init__(self, data, requires_grad=False, parents=(), backward=None,
+                 recompute=None):
         self.data = np.asarray(data)
         nodes = tuple(p.node for p in parents if p.node is not None)
         record = requires_grad or (nodes and getattr(_mode, "record", True))
-        self.node = Node(self.data, nodes, backward) if record else None
+        self.node = Node(self.data, nodes, backward, recompute) if record else None
 
     @property
     def requires_grad(self):
@@ -201,7 +209,7 @@ def backward(root: Tensor):
         node = order.pop()
         if node.backward is not None:
             grad, bwd = node.grad, node.backward
-            node.grad = node.backward = node.parents = None
+            node.grad = node.backward = node.recompute = node.parents = None
             if grad is not None:
                 bwd(grad)
 
@@ -264,18 +272,28 @@ def binarize(x: Tensor, threshold: Tensor | None, surrogate: bool = False) -> Te
     too: scalar, per-channel (c,) or per-sample (n, c), broadcast over the
     spatial axes of 4-D input. The backward rule sends qb'(x - t) * g to x
     and the negated channel-sum of the same quantity to the threshold.
-    The backward holds z = x - t in float: nothing else holds x, so
-    rebuilding z from x would hold the same bytes.
+
+    The backward needs z = x - t. Where x's node has a recompute (an
+    rprelu or batchnorm output, whose backward already holds the array x
+    is rebuilt from), it holds that function and the broadcast threshold
+    and rebuilds z from them, bit for bit; otherwise (a leaf, an avgpool2
+    output) it holds z in float.
     """
     if threshold is None:
-        z, thr_shape, parents = x.data, None, (x,)
+        z, t_b, thr_shape, parents = x.data, None, None, (x,)
     else:
         t_b = broadcast_threshold(threshold.data, x.data.shape)
         z, thr_shape, parents = x.data - t_b, t_b.shape, (x, threshold)
     out = qb_forward(z) if surrogate else hard_sign(z)
+    rebuild = None if x.node is None else x.node.recompute
+    if rebuild is not None:
+        z = None  # dies here; backward rebuilds it
 
     def bwd(g, x=x.node, t=None if threshold is None else threshold.node):
-        f = qb_grad(z) * g
+        zb = z
+        if zb is None:
+            zb = rebuild() if t_b is None else rebuild() - t_b
+        f = qb_grad(zb) * g
         if x is not None:
             x.accumulate(f)
         if t is not None:
@@ -422,7 +440,9 @@ def _into(ufunc, a, b):
 
 def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
               training: bool) -> Tensor:
-    """Per-channel batch norm over NCHW; running stats updated in place."""
+    """Per-channel batch norm over NCHW; running stats updated in place.
+    The graph holds xhat, and the output's recompute rebuilds the output
+    from it (the forward calls that same function)."""
     axes = (0, 2, 3)
     if training:
         mu = x.data.mean(axis=axes)
@@ -435,7 +455,9 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
         mu, var = running_mean, running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = _into(np.multiply, x.data - mu[None, :, None, None], inv_std[None, :, None, None])
-    out = _into(np.add, xhat * gamma.data[None, :, None, None], beta.data[None, :, None, None])
+
+    def value(gd=gamma.data, bd=beta.data):
+        return _into(np.add, xhat * gd[None, :, None, None], bd[None, :, None, None])
 
     def bwd(g, x=x.node, gamma=gamma.node, beta=beta.node, gd=gamma.data):
         if beta is not None:
@@ -454,7 +476,7 @@ def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean, running_var,
                 gx = gxh * inv_std[None, :, None, None]
             x.accumulate(gx)
 
-    return Tensor(out, parents=(x, gamma, beta), backward=bwd)
+    return Tensor(value(), parents=(x, gamma, beta), backward=bwd, recompute=value)
 
 
 def _select(cond, a, out):
@@ -479,15 +501,21 @@ def rprelu(x: Tensor, shift_in: Tensor, slope: Tensor, shift_out: Tensor) -> Ten
     """Per-channel parametric activation: prelu(x - a) + b.
 
     The three selects run through _select, so the values, and the layouts
-    that the channel sums reduce in, are those of the np.where form.
+    that the channel sums reduce in, are those of the np.where form. The
+    graph holds t = x - a alone: the output's recompute rebuilds it from t
+    (the forward calls that same function), and backward derives the mask
+    t > 0 again rather than holding it.
     """
     t = x.data - shift_in.data[None, :, None, None]
-    pos = t > 0
     s4 = slope.data[None, :, None, None]
-    out = _select(pos, t, s4 * t)
-    out += shift_out.data[None, :, None, None]
+
+    def value(bd=shift_out.data):
+        out = _select(t > 0, t, s4 * t)
+        out += bd[None, :, None, None]
+        return out
 
     def bwd(g, x=x.node, shift_in=shift_in.node, slope=slope.node, shift_out=shift_out.node):
+        pos = t > 0
         # np.where(pos, 1.0, slope) in g's dtype and pos's layout, handed to
         # the product as a temporary, as the np.where form's was.
         dt = g * _select(pos, 1.0, np.positive(s4, out=np.empty_like(pos, dtype=g.dtype)))
@@ -500,7 +528,8 @@ def rprelu(x: Tensor, shift_in: Tensor, slope: Tensor, shift_out: Tensor) -> Ten
         if shift_out is not None:
             shift_out.accumulate(g.sum(axis=(0, 2, 3)))
 
-    return Tensor(out, parents=(x, shift_in, slope, shift_out), backward=bwd)
+    return Tensor(value(), parents=(x, shift_in, slope, shift_out), backward=bwd,
+                  recompute=value)
 
 
 def avgpool2(x: Tensor) -> Tensor:

@@ -224,7 +224,8 @@ def rprelu_reference(x, shift_in, slope, shift_out, g):
 
 class TestRprelu:
     """rprelu's branch-free selects equal the np.where form bit for bit,
-    values and layouts (the channel sums reduce in memory order)."""
+    values and layouts (the channel sums reduce in memory order), and its
+    output's recompute equals the output."""
 
     @staticmethod
     def accumulated(data, g):
@@ -258,6 +259,7 @@ class TestRprelu:
         params = [ag.Tensor(p, requires_grad=True) for p in (shift_in, slope, shift_out)]
         with np.errstate(invalid="ignore", over="ignore"):
             y = ag.rprelu(xs, *params)
+            assert_bit_identical(y.node.recompute(), y.data)
             y.node.backward(g)
             want = rprelu_reference(x, shift_in, slope, shift_out, g)
         assert_bit_identical(y.data, want[0])
@@ -714,6 +716,13 @@ def conv2d_retained_reference(x, w, g, stride, pad, surrogate, scale):
     return out.reshape(x.shape[0], oh, ow, c_out).transpose(0, 3, 1, 2), gx, gw.reshape(w.shape)
 
 
+BN_DTYPES = [  # batchnorm's (x, gamma, beta, running statistics) dtypes
+    (np.float32,) * 4, (np.float64,) * 4,
+    (np.float32, np.float64, np.float64, np.float32),  # float64 gamma and beta
+    (np.float32, np.float32, np.float64, np.float32),  # a rebound float64 beta
+    (np.float32, np.float32, np.float32, np.float64)]  # float64 running statistics
+
+
 def batchnorm_reference(x, gamma, beta, mean, var, training):
     """The out-of-place batch-norm forward: four full-size temporaries."""
     mu, v = (x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))) if training else (mean, var)
@@ -771,11 +780,7 @@ class TestGraphMemoryAndEpilogues:
         assert_bit_identical(y.data, want.reshape(2, oh, ow, 7).transpose(0, 3, 1, 2))
 
     @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("x_dt,gamma_dt,beta_dt,stat_dt", [
-        (np.float32,) * 4, (np.float64,) * 4,
-        (np.float32, np.float64, np.float64, np.float32),  # float64 gamma and beta
-        (np.float32, np.float32, np.float64, np.float32),  # a rebound float64 beta
-        (np.float32, np.float32, np.float32, np.float64)])  # float64 running statistics
+    @pytest.mark.parametrize("x_dt,gamma_dt,beta_dt,stat_dt", BN_DTYPES)
     def test_batchnorm_epilogue_equals_out_of_place(self, rng, training, x_dt, gamma_dt,
                                                     beta_dt, stat_dt):
         x0 = rng.normal(size=(3, 4, 5, 5)).astype(x_dt)
@@ -786,6 +791,27 @@ class TestGraphMemoryAndEpilogues:
         y = ag.batchnorm(ag.Tensor(x0), ag.Tensor(gamma), ag.Tensor(beta),
                          mean.copy(), var.copy(), training)
         assert_bit_identical(y.data, want)
+
+    @pytest.mark.parametrize("layout", ["nchw", "channel_last"])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("x_dt,gamma_dt,beta_dt,stat_dt", BN_DTYPES)
+    def test_batchnorm_recompute_equals_output(self, rng, layout, training, x_dt, gamma_dt,
+                                               beta_dt, stat_dt):
+        """Edge values in x's last channel (NaN makes that channel's batch
+        statistics NaN), and zeros of both signs in gamma and beta."""
+        x0 = rng.normal(size=(3, 4, 5, 5)).astype(x_dt)
+        x0[:, 3].flat[:27] = edge_values(x_dt)
+        x0[:, 1, 0] = -0.0
+        if layout == "channel_last":
+            x0 = channel_last(x0)
+        gamma = np.array([-0.0, 1.25, 0.0, 0.5], gamma_dt)
+        beta = np.array([-0.0, 0.0, -0.5, 1.0], beta_dt)
+        mean, var = rng.normal(size=4).astype(stat_dt), rng.uniform(0.5, 2, 4).astype(stat_dt)
+        with np.errstate(invalid="ignore", over="ignore"):
+            y = ag.batchnorm(ag.param(x0, x_dt), ag.param(gamma, gamma_dt),
+                             ag.param(beta, beta_dt), mean, var, training)
+            assert_bit_identical(y.node.recompute(), y.data)
+        assert np.isnan(y.data).any() and np.signbit(y.data[y.data == 0]).any()
 
     @pytest.mark.parametrize("scale_dtype", [np.float32, np.float64, np.int64])
     @pytest.mark.parametrize("k", [37, 64, 200])
@@ -886,3 +912,103 @@ class TestSignInputHeldAsInt8:
         assert_bit_identical(w.grad, gw.reshape(w0.shape) + 0.0)  # accumulate's 0 + g
         gx = ag.col2im(g2 @ wq, x0.shape, k, stride, pad, oh, ow)
         assert np.array_equal(x.grad, ag.qb_grad(x0) * gx)
+
+
+class TestBinarizeRebuildsItsInput:
+    """binarize on an rprelu or batchnorm output holds that output's
+    recompute in place of z = x - t, and rebuilds z from it bit for bit; on
+    a leaf or an avgpool2 output it holds z. rprelu holds t and no mask, and
+    backward clears every recompute."""
+
+    @staticmethod
+    def vec(v, dtype=np.float32):
+        """A 4-channel parameter vector filled with v."""
+        return ag.param(np.full(4, v), dtype)
+
+    def produce(self, rng, kind):
+        """A leaf x and the tensor `kind` makes from it."""
+        x = ag.param(rng.normal(size=(2, 4, 6, 6)), np.float32)
+        vec = self.vec
+        if kind == "rprelu":
+            return x, ag.rprelu(x, vec(0.1), vec(0.25), vec(-0.2))
+        if kind == "batchnorm":
+            return x, ag.batchnorm(x, vec(1.5), vec(-0.1), np.zeros(4, np.float32),
+                                   np.ones(4, np.float32), training=True)
+        return x, (x if kind == "leaf" else ag.avgpool2(x))
+
+    @staticmethod
+    def threshold(rng, kind, shape):
+        if kind is None:
+            return None
+        size = shape[1] if kind == "channel" else shape[:2]
+        return ag.param(rng.normal(size=size) * 0.3, np.float32)
+
+    @pytest.mark.parametrize("thr", [None, "channel", "sample"])
+    @pytest.mark.parametrize("kind", ["rprelu", "batchnorm"])
+    def test_rebuilds_z_from_the_recompute(self, kind, thr):
+        """No input-sized float array is held, and the gradients equal
+        those of a binarize that holds z."""
+        grads = []
+        for rebuild in (True, False):
+            x, mid = self.produce(np.random.default_rng(1), kind)
+            t = self.threshold(np.random.default_rng(2), thr, mid.shape)
+            if not rebuild:
+                mid.node.recompute = None
+            xb = ag.binarize(mid, t)
+            held = _held_arrays(xb)
+            if rebuild:
+                cells = [c.cell_contents for c in xb.node.backward.__closure__]
+                assert any(f is mid.node.recompute for f in cells)
+                assert all(a.size < mid.data.size for a in held if a.dtype.kind == "f")
+            else:
+                assert any(a.shape == mid.shape for a in held)
+            g = np.random.default_rng(3).normal(size=xb.shape).astype(np.float32)
+            ag.Tensor(np.asarray((xb.data * g).sum()), parents=(xb,),
+                      backward=lambda _, xb=xb, g=g: xb.accumulate(g)).backward()
+            grads.append([x.grad] + ([] if t is None else [t.grad]))
+        for got, want in zip(*grads):
+            assert_bit_identical(got, want)
+
+    @pytest.mark.parametrize("thr", [None, "channel"])
+    @pytest.mark.parametrize("kind", ["leaf", "avgpool2"])
+    def test_other_inputs_keep_z(self, rng, kind, thr):
+        _, mid = self.produce(rng, kind)
+        t = self.threshold(rng, thr, mid.shape)
+        xb = ag.binarize(mid, t)
+        z = mid.data if t is None else mid.data - bt.broadcast_threshold(t.data, mid.shape)
+        held = [a for a in _held_arrays(xb) if a.shape == mid.shape]
+        assert len(held) == 1
+        assert_bit_identical(held[0], z)
+
+    def test_rprelu_holds_t_and_no_mask(self, rng):
+        x, y = self.produce(rng, "rprelu")
+        held = _held_arrays(y)
+        assert not [a for a in held if a.dtype == bool]
+        full = [a for a in held if a.shape == x.shape]
+        assert len(full) == 1
+        assert_bit_identical(full[0], x.data - np.float32(0.1))
+
+    def test_backward_clears_every_recompute(self, rng):
+        c = 4
+        x = ag.param(rng.normal(size=(2, c, 6, 6)), np.float64)
+
+        def vec(v):
+            return self.vec(v, np.float64)
+
+        w = ag.param(rng.normal(size=(c, c, 3, 3)), np.float64)
+        y = ag.batchnorm(x, vec(1.0), vec(0.0), np.zeros(c), np.ones(c), training=True)
+        y = ag.conv2d(ag.binarize(y, vec(0.1)), w, pad=1, scale=bt.weight_scale(w.data),
+                      binary_input=True)
+        y = ag.batchnorm(y, vec(1.0), vec(0.0), np.zeros(c), np.ones(c), training=True)
+        y = ag.rprelu(ag.add(y, x), vec(0.0), vec(0.25), vec(0.0))
+        y = ag.binarize(y, vec(-0.1))
+        loss = ag.cross_entropy(ag.global_avg_pool(y), np.array([0, 1]))
+        interior, stack = [], [loss.node]
+        while stack:
+            node = stack.pop()
+            if node.backward is not None and node not in interior:
+                interior.append(node)
+                stack.extend(node.parents)
+        assert sum(node.recompute is not None for node in interior) == 3
+        loss.backward()
+        assert all(node.recompute is None for node in interior)

@@ -513,12 +513,14 @@ class TestForward:
 
     def test_training_step_transient_memory_bounded(self, rng):
         """One step-2 training step (forward, backward, AdamW) on a fresh
-        desk-tiny at batch 64 peaks under 51 MiB by tracemalloc: 39.1 MiB
-        with binary convs holding their +-1 inputs as int8, 43.2 MiB when a
-        conv's column gradient outlived the re-gather of its windows, 75.9
-        MiB when they held float window matrices, 184.8 MiB when the graph
-        also held every op output and interior gradient until the loss
-        died."""
+        desk-tiny at batch 64 peaks under 39 MiB by tracemalloc: 29.6 MiB
+        with binarize rebuilding its input from the previous rprelu's or
+        batch norm's saved array and rprelu holding no mask, 39.1 MiB when
+        binarize held z and rprelu its mask, 43.2 MiB when a conv's column
+        gradient outlived the re-gather of its windows, 75.9 MiB when binary
+        convs held float window matrices rather than int8 inputs, 184.8 MiB
+        when the graph also held every op output and interior gradient
+        until the loss died."""
         import tracemalloc
 
         data = Dataset(rng.standard_normal((64, 3, 32, 32), dtype=np.float32),
@@ -531,13 +533,15 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 51 * 2**20, peak / 2**20
+        assert peak < 39 * 2**20, peak / 2**20
 
     def test_graph_building_forward_transient_memory_bounded(self, rng):
         """An evaluation forward that builds the graph (the parameters
-        require grad) on a fresh desk-tiny at batch 64 peaks under 48 MiB
-        by tracemalloc: 37.0 MiB with binary convs holding their +-1
-        inputs as int8, 73.0 MiB when they held float window matrices."""
+        require grad) on a fresh desk-tiny at batch 64 peaks under 36 MiB
+        by tracemalloc: 27.5 MiB with binarize rebuilding its input from
+        the previous rprelu's or batch norm's saved array and rprelu holding
+        no mask, 37.0 MiB when binarize held z and rprelu its mask, 73.0 MiB
+        when binary convs held float window matrices."""
         import tracemalloc
 
         net = nw.build(nw.desk_tiny(), seed=0)
@@ -549,7 +553,7 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert logits.requires_grad
-        assert peak < 48 * 2**20, peak / 2**20
+        assert peak < 36 * 2**20, peak / 2**20
 
     def test_zero_weight_classifier_zero_logits(self, rng):
         net = nw.build(nw.desk_micro(), seed=0)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bitcontext import autograd as ag
 from bitcontext import costmodel as cm
 from bitcontext import data as dt
 from bitcontext import network as nw
@@ -304,6 +305,43 @@ class TestTrainStep:
                                  lr=1e-3, seed=7)
             curves.append(tr.train_step(net, micro_data, cfg).loss_history)
         assert curves[0] == curves[1]
+
+    @pytest.mark.parametrize("preset", ["desk-micro", "desk-tiny-dynamic"])
+    def test_recompute_changes_no_bit(self, micro_data, preset, monkeypatch):
+        """Steps 1 and 2 give the same loss histories, states and float and
+        packed logits whether binarize rebuilds its input from the previous
+        rprelu's or batch norm's recompute or, with every recompute
+        cleared, holds z itself."""
+        if preset == "desk-micro":
+            spec, data, batch = nw.desk_micro(), micro_data, 32
+        else:
+            rng = np.random.default_rng(4)
+            spec, batch = nw.desk_tiny(dynamic=True), 16
+            data = dt.Dataset(rng.standard_normal((32, 3, 32, 32), dtype=np.float32),
+                              rng.integers(0, 10, 32), 10)
+        x = data.x[:batch]
+
+        def run():
+            net = nw.build(spec, seed=0)
+            out = []
+            for step in (1, 2):
+                cfg = tr.TrainConfig(step=step, iterations=2, batch_size=batch, seed=step)
+                out.append(tr.train_step(net, data, cfg).loss_history)
+                out.extend(v.copy() for _, v in sorted(net.state_arrays().items()))
+            out += [net.forward(x, training=False).data, net.forward_packed(x)]
+            return out
+
+        shipped = run()
+        init = ag.Node.__init__
+        monkeypatch.setattr(ag.Node, "__init__", lambda self, data, parents, backward,
+                            recompute=None: init(self, data, parents, backward))
+        v = ag.param(np.ones(2))
+        assert ag.rprelu(ag.param(np.ones((1, 2, 1, 1))), v, v, v).node.recompute is None
+        held = run()
+        assert np.array_equal(shipped[-1], shipped[-2])
+        assert len(shipped) == len(held)
+        for a, b in zip(shipped, held):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_zero_iterations_checkpoint_equals_init(self, micro_data):
         net = nw.build(nw.desk_micro(), seed=2)
